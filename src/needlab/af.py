@@ -14,13 +14,15 @@ occurrences at once:
 
 Note lift' and assoc' carry the argument or the demanding call all the
 way in next to the value.  An assoc' contractum always contains an
-immediate beta-need' redex; merging the two gives the bookkeeping-free
-combined axiom, exposed here only as the MERGED_RULE label for trace
-readers (the step function never emits it).
+immediate beta-need' redex.
 
 The redex search reuses the shared frame machinery: a BodF frame with an
 empty between-context plays the demand frame (lam x. E[x]) [] while the
-argument reduces.
+argument reduces.  The search is resumable (refocusing): a contraction
+leaves the frame stack truncated at the contraction site, and the next
+search starts from the contractum on top of it.  The evaluators keep one
+stack for a whole run and plug it only for the final answer; step_af and
+step_afmod search from an empty stack and plug it after every step.
 """
 from __future__ import annotations
 
@@ -43,9 +45,6 @@ from .terms import (
 
 DEREF, LIFT, ASSOC = "deref", "lift", "assoc"
 BETA_NEED_MOD, LIFT_MOD, ASSOC_MOD = "beta-need'", "lift'", "assoc'"
-#: Pedagogical alias: an assoc' step immediately followed by beta-need' on
-#: the exposed redex acts as one merged axiom.
-MERGED_RULE = "beta-need''"
 
 
 def is_value(t: Term) -> bool:
@@ -53,13 +52,19 @@ def is_value(t: Term) -> bool:
 
 
 def af_answer_split(t: Term) -> Optional[tuple[Frames, Term]]:
-    """Split t as nested (lam x. a) e layers around a value, if possible."""
-    frames: Frames = ()
+    """Split t as nested (lam x. a) e layers around a value, if possible.
+
+    The frames are innermost first, as plug reads them: plugging the
+    value into them rebuilds t.
+    """
+    frames: list = []
     while isinstance(t, App) and isinstance(t.fn, Lam):
-        frames = frames + (LamF(t.fn.binder), ArgF(t.arg))
+        frames.append(ArgF(t.arg))
+        frames.append(LamF(t.fn.binder))
         t = t.fn.body
     if isinstance(t, Lam):
-        return frames, t
+        frames.reverse()
+        return tuple(frames), t
     return None
 
 
@@ -71,15 +76,20 @@ def _rebuild(stack: list, sub: Term) -> Term:
     return plug(tuple(reversed(stack)), sub)
 
 
-def _step(t: Term, modified: bool, supply: NameSupply) -> Optional[tuple[str, Term]]:
-    """One standard-reduction step of the plain or modified calculus.
+def _step(
+    stack: list, control: Term, modified: bool, supply: NameSupply
+) -> tuple[Optional[str], Term]:
+    """Search for the standard redex of plug(stack, control) and contract it.
 
-    The stack is outermost-first; LamF frames only ever sit directly on
-    the ArgF carrying their argument, and BodF frames have an empty
-    between-context (the binder-adjacency the calculus maintains).
+    The stack is outermost-first and describes the path from the root to
+    control, as an earlier search left it; LamF frames only ever sit
+    directly on the ArgF carrying their argument, and BodF frames have an
+    empty between-context (the binder-adjacency the calculus maintains).
+    Returns (rule, contractum) with the stack truncated in place at the
+    contraction site, so that plugging the contractum into it gives the
+    whole reduct.  On an answer the rule is None, and the stack holds the
+    answer context around the returned value.
     """
-    control = t
-    stack: list = []
     while True:
         if isinstance(control, App):
             stack.append(ArgF(control.arg))
@@ -102,20 +112,18 @@ def _step(t: Term, modified: bool, supply: NameSupply) -> Optional[tuple[str, Te
             assert lam_at > 0 and isinstance(stack[lam_at - 1], ArgF)
             inner = tuple(reversed(stack[lam_at + 1 :]))
             arg = stack[lam_at - 1].term
-            rest = stack[: lam_at - 1]
+            del stack[lam_at - 1 :]
             if is_value(arg):
                 if modified:
                     body = plug(inner, Var(name))
-                    return BETA_NEED_MOD, _rebuild(rest, subst(body, name, arg, supply))
+                    return BETA_NEED_MOD, subst(body, name, arg, supply)
                 copy = freshen(arg, supply)
-                new = App(Lam(name, plug(inner, copy)), arg)
-                return DEREF, _rebuild(rest, new)
+                return DEREF, App(Lam(name, plug(inner, copy)), arg)
             split = af_answer_split(arg)
             if split is not None:
                 if modified:
                     frames, value = split
-                    new = plug(frames, App(Lam(name, plug(inner, Var(name))), value))
-                    return ASSOC_MOD, _rebuild(rest, new)
+                    return ASSOC_MOD, plug(frames, App(Lam(name, plug(inner, Var(name))), value))
                 # one outer layer only: (lam x. E[x]) ((lam y. a) e)
                 outer_lam = arg.fn
                 new = App(
@@ -125,8 +133,7 @@ def _step(t: Term, modified: bool, supply: NameSupply) -> Optional[tuple[str, Te
                     ),
                     arg.arg,
                 )
-                return ASSOC, _rebuild(rest, new)
-            stack = rest
+                return ASSOC, new
             stack.append(BodF(name, inner, ()))
             control = arg
         else:
@@ -138,11 +145,11 @@ def _resolve_value(v: Term, stack: list, modified: bool, supply: NameSupply):
     i = len(stack)
     while i >= 2 and isinstance(stack[i - 1], LamF) and isinstance(stack[i - 2], ArgF):
         i -= 2
-    pair_frames = tuple(reversed(stack[i:]))
     if i == 0:
-        return None  # whole term is an answer
+        return None, v  # whole term is an answer
+    pair_frames = tuple(reversed(stack[i:]))
     boundary = stack[i - 1]
-    rest = stack[: i - 1]
+    del stack[i - 1 :]
     if isinstance(boundary, ArgF):
         # ((lam x. a) e1) e2 with at least one layer present
         assert pair_frames, "application of a bare value cannot be a lift redex"
@@ -156,19 +163,17 @@ def _resolve_value(v: Term, stack: list, modified: bool, supply: NameSupply):
         else:
             body = App(plug(inner_frames, v), e2)
         new = App(Lam(outer_lam.binder, body), outer_arg.term)
-        return (LIFT_MOD if modified else LIFT), _rebuild(rest, new)
+        return (LIFT_MOD if modified else LIFT), new
     assert isinstance(boundary, BodF) and not boundary.between
     call_body = plug(boundary.inner, Var(boundary.binder))
     if not pair_frames:
         # argument reduced to a bare value
         if modified:
-            return BETA_NEED_MOD, _rebuild(rest, subst(call_body, boundary.binder, v, supply))
+            return BETA_NEED_MOD, subst(call_body, boundary.binder, v, supply)
         copy = freshen(v, supply)
-        new = App(Lam(boundary.binder, plug(boundary.inner, copy)), v)
-        return DEREF, _rebuild(rest, new)
+        return DEREF, App(Lam(boundary.binder, plug(boundary.inner, copy)), v)
     if modified:
-        new = plug(pair_frames, App(Lam(boundary.binder, call_body), v))
-        return ASSOC_MOD, _rebuild(rest, new)
+        return ASSOC_MOD, plug(pair_frames, App(Lam(boundary.binder, call_body), v))
     outer_lam = pair_frames[-2]
     outer_arg = pair_frames[-1]
     inner_answer = plug(pair_frames[:-2], v)
@@ -176,7 +181,15 @@ def _resolve_value(v: Term, stack: list, modified: bool, supply: NameSupply):
         Lam(outer_lam.binder, App(Lam(boundary.binder, call_body), inner_answer)),
         outer_arg.term,
     )
-    return ASSOC, _rebuild(rest, new)
+    return ASSOC, new
+
+
+def _step_from_root(t: Term, modified: bool, supply: NameSupply) -> Optional[tuple[str, Term]]:
+    stack: list = []
+    rule, new = _step(stack, t, modified, supply)
+    if rule is None:
+        return None
+    return rule, _rebuild(stack, new)
 
 
 def step_af(t: Term, supply: Optional[NameSupply] = None) -> Optional[tuple[str, Term]]:
@@ -185,7 +198,7 @@ def step_af(t: Term, supply: Optional[NameSupply] = None) -> Optional[tuple[str,
         raise OpenTermError("step_af requires a closed term")
     if supply is None:
         supply = NameSupply.for_term(t)
-    return _step(hygienize(t, supply), False, supply)
+    return _step_from_root(hygienize(t, supply), False, supply)
 
 
 def step_afmod(t: Term, supply: Optional[NameSupply] = None) -> Optional[tuple[str, Term]]:
@@ -194,7 +207,7 @@ def step_afmod(t: Term, supply: Optional[NameSupply] = None) -> Optional[tuple[s
         raise OpenTermError("step_afmod requires a closed term")
     if supply is None:
         supply = NameSupply.for_term(t)
-    return _step(hygienize(t, supply), True, supply)
+    return _step_from_root(hygienize(t, supply), True, supply)
 
 
 def _eval(t: Term, fuel: int, modified: bool):
@@ -203,15 +216,16 @@ def _eval(t: Term, fuel: int, modified: bool):
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
     supply = NameSupply.for_term(t)
-    t = hygienize(t, supply)
+    control = hygienize(t, supply)
+    stack: list = []  # persists across steps: each search resumes at the last contraction
     steps = 0
     while True:
-        r = _step(t, modified, supply)
-        if r is None:
-            return Done(t, steps)
+        rule, new = _step(stack, control, modified, supply)
+        if rule is None:
+            return Done(_rebuild(stack, new), steps)
         if steps == fuel:
             return Timeout(steps)
-        t = r[1]
+        control = new
         steps += 1
 
 

@@ -11,6 +11,7 @@ import sys
 from . import harness, need
 from .frames import context_term
 from .prelude import expand_prelude
+from .results import Done
 from .syntax import ParseError, parse, print_term
 from .terms import OpenTermError, hygienize
 
@@ -39,12 +40,13 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # the evaluator directly: a trace would render every intermediate step
     t = _load_term(args.file, prelude=args.prelude)
-    trace = harness.run_eval(t, args.machine, args.fuel)
-    if trace.verdict == "done":
-        print(f"done in {len(trace.steps)} steps: {trace.answer}")
+    result = harness._eval_fn(args.machine)(t, args.fuel)
+    if isinstance(result, Done):
+        print(f"done in {result.steps} steps: {print_term(result.answer)}")
         return 0
-    print(f"timeout after {len(trace.steps)} steps")
+    print(f"timeout after {result.steps} steps")
     return 0
 
 

@@ -26,10 +26,10 @@ from .terms import (
     NameSupply,
     OpenTermError,
     Term,
+    _rebuild,
     erase,
     hygienize,
     is_closed,
-    subst_shared,
     subterms,
     term_eq,
 )
@@ -112,8 +112,29 @@ def _plug(stack: list, t: Term) -> Term:
     return t
 
 
+def _subst_closed(t: Term, x: Name, s: Term) -> Term:
+    """Insert the same closed s at every free occurrence of x in t.
+
+    With s closed no binder of t can capture, so nothing is renamed and no
+    free-variable walk of s is needed; only binders of x shadow.
+    """
+
+    def var_fn(node, shadowed):
+        return s if shadowed is None and node.name == x else node
+
+    def lam_fn(node, shadowed):
+        return node.binder, (True if node.binder == x else shadowed)
+
+    return _rebuild(t, var_fn, lam_fn, lambda n, e: None)
+
+
 def step_lstep(t: Term, supply: Optional[NameSupply] = None, check: bool = True) -> Optional[Term]:
-    """One parallel step; absent iff t is a (possibly labeled) value."""
+    """One parallel step of a closed term; absent iff t is a (possibly
+    labeled) value.
+
+    The search never enters a binder, so the argument it substitutes is
+    closed whenever t is.
+    """
     if check and not is_cl(t):
         raise NotConsistentlyLabeled("input is not consistently labeled")
     if supply is None:
@@ -140,7 +161,7 @@ def step_lstep(t: Term, supply: Optional[NameSupply] = None, check: bool = True)
     assert isinstance(app, _AppL), "operator labels exhausted without an application"
     argument = app.term
     fresh = supply.fresh(control.binder.base)
-    contractum = subst_shared(control.body, control.binder, Labeled(fresh, argument), supply)
+    contractum = _subst_closed(control.body, control.binder, Labeled(fresh, argument))
     # nearest enclosing label, with only applications between it and the redex
     label_at = None
     for i in range(len(stack) - 1, -1, -1):

@@ -14,9 +14,13 @@ from needlab.af import (
     step_afmod,
     step_name,
 )
+from needlab.frames import plug
+from needlab.gen import gen_closed
+from needlab.harness import close_answer_value, run_eval
+from needlab.need import eval_sr
 from needlab.results import Done, Timeout
 from needlab.syntax import parse
-from needlab.terms import App, alpha_eq, hygienize
+from needlab.terms import App, NameSupply, alpha_eq, hygienize, is_closed, term_eq
 
 # three distinct identity lambdas stand in for opaque values
 AF1 = r"((\x.(\y.\z.z) (\b.b)) (\a.a)) (\c.c)"
@@ -31,8 +35,10 @@ def test_af_answers():
     assert is_af_answer(parse(r"\x.x"))
     assert is_af_answer(parse(r"(\x.\v.v) (\y.y)"))
     assert not is_af_answer(parse(r"((\x.x) (\y.y)) (\z.z)"))
-    frames, v = af_answer_split(parse(r"(\x.(\y.\v.v) (\b.b)) (\a.a)"))
+    t = parse(r"(\x.(\y.\v.v) (\b.b)) (\a.a)")
+    frames, v = af_answer_split(t)
     assert alpha_eq(v, parse(r"\v.v"))
+    assert term_eq(plug(frames, v), t)  # innermost first, as plug reads them
 
 
 def test_af_reassociation_display():
@@ -135,3 +141,48 @@ def test_step_name_substitutes_unevaluated():
     t = hygienize(parse(r"(\x.x x) ((\a.a) (\b.b))"))
     n = step_name(t)
     assert alpha_eq(n, parse(r"((\a.a) (\b.b)) ((\a.a) (\b.b))"))
+
+
+def test_afmod_assoc_keeps_multi_layer_answer_in_order():
+    # assoc' must move the whole answer context outward unchanged: the
+    # inner layer's argument `a` stays in the scope of its binder
+    t = parse(r"(\x.x) ((\a.(\b.\v.b) a) (\z.z))")
+    r = eval_afmod(t, 100)
+    assert isinstance(r, Done)
+    assert is_closed(r.answer)
+    expected = eval_sr(t, 100)
+    assert alpha_eq(close_answer_value(r.answer), close_answer_value(expected.answer))
+    trace = run_eval(t, "af-mod", 100)
+    assert trace.verdict == "done"
+    assert [s.rule for s in trace.steps] == [ASSOC_MOD, BETA_NEED_MOD]
+
+
+def _iterate(step, t, fuel):
+    """Drive a one-step function from the root, as a caller of step_* would."""
+    supply = NameSupply.for_term(t)
+    t = hygienize(t, supply)
+    steps = 0
+    while True:
+        r = step(t, supply)
+        if r is None:
+            return Done(t, steps)
+        if steps == fuel:
+            return Timeout(steps)
+        t = r[1]
+        steps += 1
+
+
+def test_resumed_search_matches_iterated_steps_on_corpus():
+    # eval_af / eval_afmod resume each search at the last contraction
+    # site; step_af / step_afmod search from the root every time.  Both
+    # must reach the same verdict after the same number of steps, with
+    # the same answer, fresh names included.
+    for i in range(300):
+        t = gen_closed(42 + i, 25)
+        for evaluate, step in ((eval_af, step_af), (eval_afmod, step_afmod)):
+            resumed = evaluate(t, 1000)
+            iterated = _iterate(step, t, 1000)
+            assert type(resumed) is type(iterated), (i, evaluate.__name__)
+            assert resumed.steps == iterated.steps, (i, evaluate.__name__)
+            if isinstance(resumed, Done):
+                assert term_eq(resumed.answer, iterated.answer), (i, evaluate.__name__)

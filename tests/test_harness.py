@@ -13,7 +13,8 @@ from needlab.harness import (
     run_eval,
     to_json_str,
 )
-from needlab.syntax import parse
+from needlab.gen import gen_closed
+from needlab.syntax import parse, print_term
 from needlab.terms import alpha_eq
 
 T1 = r"((\x.(\y.\z.z y x) (\y.y)) (\x.x)) (\z.z)"
@@ -131,3 +132,21 @@ def test_cli_parse_error(tmp_path):
     f = tmp_path / "bad.lam"
     f.write_text("(\\x.x\n")
     assert cli_main(["parse", str(f)]) == 2
+
+
+def test_cli_eval_line_matches_run_eval(tmp_path, capsys):
+    # `needlab eval` runs the evaluator directly; its line must be the one
+    # a full trace of the same term would give
+    f = tmp_path / "t.lam"
+    for i in (8, 26, 33, 42, 74):  # several steps on every machine; 74 diverges
+        t = gen_closed(42 + i, 25)
+        f.write_text(print_term(t) + "\n")
+        for machine in MACHINES:
+            tr = run_eval(t, machine, 200)
+            if tr.verdict == "done":
+                expected = f"done in {len(tr.steps)} steps: {tr.answer}"
+            else:
+                expected = f"timeout after {len(tr.steps)} steps"
+            capsys.readouterr()
+            assert cli_main(["eval", "--machine", machine, "--fuel", "200", str(f)]) == 0
+            assert capsys.readouterr().out == expected + "\n", (i, machine)

@@ -133,3 +133,11 @@ def test_labeled_redex_contracts_all_copies():
     t2 = step_lstep(t1, sup)
     # both copies advanced in the same step
     assert term_eq(erase(t2.fn), erase(t2.arg))
+
+
+def test_step_lstep_substitution_stops_at_shadowing_binder():
+    # shared copies keep their names, so binders can repeat; an inner
+    # binder of the same name shadows the substituted variable
+    r = step_lstep(parse(r"(\x.(\y.x) (\x.x)) (\z.z)"), check=False)
+    shared = Labeled(Name("x", 1), parse(r"\z.z"))
+    assert term_eq(r, App(Lam(Name("y"), shared), parse(r"\x.x")))
