@@ -20,13 +20,15 @@ The redex search reuses the shared frame machinery: a BodF frame with an
 empty between-context plays the demand frame (lam x. E[x]) [] while the
 argument reduces.  The search is resumable (refocusing): a contraction
 leaves the frame stack truncated at the contraction site, and the next
-search starts from the contractum on top of it.  The evaluators keep one
-stack for a whole run and plug it only for the final answer; step_af and
-step_afmod search from an empty stack and plug it after every step.
+search starts from the contractum on top of it.  One driver, ``drive``,
+keeps the stack for a whole run: the evaluators plug it only for the final
+answer, and ``harness.run_eval`` plugs it once per step to print the term.
+step_af and step_afmod remain the single-step API; they search from an
+empty stack, after checking and hygienizing the term they are given.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .frames import ArgF, BodF, Frames, LamF, plug
 from .results import Done, Timeout
@@ -210,22 +212,38 @@ def step_afmod(t: Term, supply: Optional[NameSupply] = None) -> Optional[tuple[s
     return _step_from_root(hygienize(t, supply), True, supply)
 
 
+def drive(
+    control: Term, modified: bool, supply: NameSupply
+) -> Iterator[tuple[Optional[str], list, Term]]:
+    """Reduce a closed hygienic term, resuming each search at the last
+    contraction site.
+
+    Yields (rule, stack, contractum) per step and finally (None, stack,
+    value) on an answer; plugging the third component into the stack gives
+    the whole term.  The stack is the driver's own and changes on resumption,
+    so read it before asking for the next step.  Steps preserve closedness
+    and hygiene, so they need no re-check.
+    """
+    stack: list = []
+    while True:
+        rule, control = _step(stack, control, modified, supply)
+        yield rule, stack, control
+        if rule is None:
+            return
+
+
 def _eval(t: Term, fuel: int, modified: bool):
     if not is_closed(t):
         raise OpenTermError("evaluation requires a closed term")
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
     supply = NameSupply.for_term(t)
-    control = hygienize(t, supply)
-    stack: list = []  # persists across steps: each search resumes at the last contraction
     steps = 0
-    while True:
-        rule, new = _step(stack, control, modified, supply)
+    for rule, stack, new in drive(hygienize(t, supply), modified, supply):
         if rule is None:
             return Done(_rebuild(stack, new), steps)
         if steps == fuel:
             return Timeout(steps)
-        control = new
         steps += 1
 
 

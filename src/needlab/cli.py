@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Exit status is 0 only when the requested check reports no mismatches or
-violations; parse errors and bad usage exit 2.
+violations; parse errors and bad usage exit 2.  Output cut short by a
+closed pipe (``needlab trace ... | head``) exits 1 without a traceback.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import harness, need
@@ -167,7 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away (`needlab trace ... | head`); send what is
+        # still buffered to devnull so the flush at interpreter exit cannot
+        # raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 from . import af, ck, ckh, lstep, need
 from .frames import ArgF, LamF, context_term
@@ -124,15 +125,73 @@ def _render_ck(state: ck.CKState) -> str:
     return f"<{print_term(state.control)} | {print_term(context_term(state.frames))}>"
 
 
-def _render_ckh(state: ckh.CKHState) -> str:
+def _render_ckh(state: ckh.CKHState, cache: Optional[dict] = None) -> str:
+    """Print a store-machine state.
+
+    cache maps each heap name to its last (term, printed entry) across the
+    states of one trace; an entry is printed again only when its name is
+    bound to a different term object.
+    """
+    if cache is None:
+        cache = {}
     frames = []
     for f in state.frames:
         if isinstance(f, ArgF):
             frames.append(f"arg({print_term(f.term)})")
         else:
             frames.append(f"var({f.name})")
-    heap = ", ".join(f"{k} -> {print_term(v)}" for k, v in state.heap.items())
-    return f"<{print_term(state.control)} | ({', '.join(frames)}) | {{{heap}}}>"
+    heap = []
+    for k, v in state.heap.items():
+        entry = cache.get(k)
+        if entry is None or entry[0] is not v:
+            entry = cache[k] = (v, f"{k} -> {print_term(v)}")
+        heap.append(entry[1])
+    return f"<{print_term(state.control)} | ({', '.join(frames)}) | {{{', '.join(heap)}}}>"
+
+
+def _step_sr(u: Term, supply: NameSupply):
+    d = need.decompose(u)
+    if isinstance(d, need.Answer):
+        return None
+    return "beta-need", need.contract(d, supply)
+
+
+def _step_name(u: Term, supply: NameSupply):
+    if isinstance(u, Lam):
+        return None
+    return "beta", af.step_name(u, supply)
+
+
+def _step_lstep(u: Term, supply: NameSupply):
+    if lstep.is_labeled_value(u):
+        return None
+    return "beta-step", lstep.step_lstep(u, supply, check=False)
+
+
+def _transitions(
+    machine: str, state, supply: NameSupply
+) -> Iterator[tuple[Optional[str], object]]:
+    """One machine's run from state: (rule, next state) per step, then
+    (None, final state).  af's states are whole terms, plugged from its
+    resumable driver."""
+    if machine in ("af", "af-mod"):
+        for rule, stack, sub in af.drive(state, machine == "af-mod", supply):
+            yield rule, af._rebuild(stack, sub)
+        return
+    step = {
+        "need-sr": _step_sr,
+        "name": _step_name,
+        "lstep": _step_lstep,
+        "ck": ck.step_ck,
+        "ckh": ckh.step_ckh,
+    }[machine]
+    while True:
+        r = step(state, supply)
+        if r is None:
+            yield None, state
+            return
+        yield r
+        state = r[1]
 
 
 def run_eval(t: Term, machine: str, fuel: int) -> Trace:
@@ -145,72 +204,25 @@ def run_eval(t: Term, machine: str, fuel: int) -> Trace:
         raise ValueError("fuel must be >= 0")
     supply = NameSupply.for_term(t)
     t = hygienize(t, supply)
-    steps: list[TraceStep] = []
-
-    if machine in ("need-sr", "af", "af-mod", "name", "lstep"):
-        current = t
-        initial = print_term(current)
-
-        def term_step(u):
-            if machine == "need-sr":
-                d = need.decompose(u)
-                if isinstance(d, need.Answer):
-                    return None
-                return "beta-need", need.contract(d, supply)
-            if machine == "af":
-                return af.step_af(u, supply)
-            if machine == "af-mod":
-                return af.step_afmod(u, supply)
-            if machine == "name":
-                if isinstance(u, Lam):
-                    return None
-                return "beta", af.step_name(u, supply)
-            if lstep.is_labeled_value(u):
-                return None
-            return "beta-step", lstep.step_lstep(u, supply, check=False)
-
-        verdict = "timeout"
-        for _ in range(fuel + 1):
-            r = term_step(current)
-            if r is None:
-                verdict = "done"
-                break
-            if len(steps) == fuel:
-                break
-            rule, current = r
-            steps.append(TraceStep(rule, print_term(current), None))
-        answer = print_term(current) if verdict == "done" else None
-        return Trace(machine, fuel, initial, steps, verdict, answer)
-
+    # a state prints as render(state); ck and ckh states also map to a term
     if machine == "ck":
-        state = ck.inject_ck(t)
-        initial = _render_ck(state)
-        verdict = "timeout"
-        for _ in range(fuel + 1):
-            r = ck.step_ck(state, supply)
-            if r is None:
-                verdict = "done"
-                break
-            if len(steps) == fuel:
-                break
-            rule, state = r
-            steps.append(TraceStep(rule, _render_ck(state), print_term(ck.build(state))))
-        answer = print_term(ck.build(state)) if verdict == "done" else None
-        return Trace(machine, fuel, initial, steps, verdict, answer)
-
-    state = ckh.inject_ckh(t)
-    initial = _render_ckh(state)
-    verdict = "timeout"
-    for _ in range(fuel + 1):
-        r = ckh.step_ckh(state, supply)
-        if r is None:
+        state, render, image = ck.inject_ck(t), _render_ck, ck.build
+    elif machine == "ckh":
+        state, render, image = ckh.inject_ckh(t), partial(_render_ckh, cache={}), ckh.buildL
+    else:
+        state, render, image = t, print_term, None
+    initial = render(state)
+    steps: list[TraceStep] = []
+    verdict, answer = "timeout", None
+    for rule, state in _transitions(machine, state, supply):
+        if rule is None:
             verdict = "done"
+            answer = print_term(state if image is None else image(state))
             break
         if len(steps) == fuel:
             break
-        rule, state = r
-        steps.append(TraceStep(rule, _render_ckh(state), print_term(ckh.buildL(state))))
-    answer = print_term(ckh.buildL(state)) if verdict == "done" else None
+        mapped = None if image is None else print_term(image(state))
+        steps.append(TraceStep(rule, render(state), mapped))
     return Trace(machine, fuel, initial, steps, verdict, answer)
 
 

@@ -62,10 +62,6 @@ class AnswerContext:
     def to_term(self) -> Term:
         return context_term(self.frames)
 
-    @property
-    def layers(self) -> int:
-        return sum(1 for f in self.frames if isinstance(f, LamF))
-
 
 @dataclass(frozen=True, eq=False)
 class Answer:

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import needlab
+from needlab import af, ckh
 from needlab.cli import main as cli_main
 from needlab.harness import (
     MACHINES,
     SIM_PAIRS,
+    _render_ckh,
     answer_value,
     check_confluence,
     check_simulation,
@@ -14,11 +22,26 @@ from needlab.harness import (
     to_json_str,
 )
 from needlab.gen import gen_closed
+from needlab.prelude import expand_prelude
 from needlab.syntax import parse, print_term
-from needlab.terms import alpha_eq
+from needlab.terms import NameSupply, alpha_eq, hygienize, is_closed, is_hygienic
 
 T1 = r"((\x.(\y.\z.z y x) (\y.y)) (\x.x)) (\z.z)"
 OMEGA = r"(\d.d d) (\d.d d)"
+# 2 <= 3 on Church numerals, with pred built from the prelude's lazy pairs
+LEQ = expand_prelude(
+    parse(
+        r"""
+        (\zero. (\succ. (\pred. (\iszero. (\leq.
+          leq (succ (succ zero)) (succ (succ (succ zero))))
+          (\m.\n. iszero (n pred m)))
+          (\n. n (\x.\t.\f.f) (\t.\f.t)))
+          (\n. car (n (\p. cons (cdr p) (succ (cdr p))) (cons zero zero))))
+          (\n.\s.\z. s (n s z)))
+          (\s.\z.z)
+        """
+    )
+)
 
 
 def test_run_eval_need_trace():
@@ -150,3 +173,77 @@ def test_cli_eval_line_matches_run_eval(tmp_path, capsys):
             capsys.readouterr()
             assert cli_main(["eval", "--machine", machine, "--fuel", "200", str(f)]) == 0
             assert capsys.readouterr().out == expected + "\n", (i, machine)
+
+
+def _trace_by_single_steps(t, step, fuel):
+    # run_eval's af trace rebuilt from the public single-step API, which
+    # searches from the root and re-checks and re-hygienizes every term
+    supply = NameSupply.for_term(t)
+    current = hygienize(t, supply)
+    steps = []
+    while True:
+        assert is_closed(current) and is_hygienic(current), print_term(current)
+        r = step(current, supply)
+        if r is None:
+            return steps, "done", print_term(current)
+        if len(steps) == fuel:
+            return steps, "timeout", None
+        rule, current = r
+        steps.append((rule, print_term(current)))
+
+
+@pytest.mark.parametrize("machine, step", [("af", af.step_af), ("af-mod", af.step_afmod)])
+def test_run_eval_af_trace_matches_single_steps(machine, step):
+    # run_eval drives af's resumable search without re-checking each term;
+    # every intermediate term must still be closed and hygienic
+    terms = [gen_closed(42 + i, 25) for i in range(300)] + [LEQ]
+    for i, t in enumerate(terms):
+        tr = run_eval(t, machine, 1000)
+        steps, verdict, answer = _trace_by_single_steps(t, step, 1000)
+        assert [(s.rule, s.term) for s in tr.steps] == steps, i
+        assert (tr.verdict, tr.answer) == (verdict, answer), i
+    assert tr.verdict == "done"
+    assert alpha_eq(close_answer_value(parse(tr.answer)), parse(r"\t.\f.t"))
+
+
+def test_run_eval_ckh_render_cache():
+    # x is bound by descend-lam, checked out by lookupvar and rebound to its
+    # value by updateheap: each step must print as an uncached rendering does
+    terms = [parse(r"(\x.x x) ((\y.y) (\z.z))"), LEQ]
+    terms += [gen_closed(42 + i, 25) for i in (8, 26, 33)]
+    rules = set()
+    for t in terms:
+        tr = run_eval(t, "ckh", 1000)
+        assert tr.verdict == "done"
+        supply = NameSupply.for_term(t)
+        state = ckh.inject_ckh(hygienize(t, supply))
+        assert tr.initial == _render_ckh(state)
+        for s in tr.steps:
+            rule, state = ckh.step_ckh(state, supply)
+            assert (s.rule, s.term) == (rule, _render_ckh(state))
+            rules.add(rule)
+        assert ckh.step_ckh(state, supply) is None
+    assert {"descend-lam", "lookupvar", "updateheap"} <= rules
+
+
+def test_cli_trace_into_closed_pipe(tmp_path):
+    # `needlab trace ... | head -1`: the reader leaves after one line
+    f = tmp_path / "w.lam"
+    f.write_text(r"(\x0.x0 x0 x0) (\x1.x1 x1)" + "\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(needlab.__file__)))
+    argv = ["trace", "--machine", "af", "--fuel", "500", str(f)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "needlab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert first.startswith(b"machine: af")
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode == 1
