@@ -22,7 +22,10 @@ argument reduces.  The search is resumable (refocusing): a contraction
 leaves the frame stack truncated at the contraction site, and the next
 search starts from the contractum on top of it.  One driver, ``drive``,
 keeps the stack for a whole run: the evaluators plug it only for the final
-answer, and ``harness.run_eval`` plugs it once per step to print the term.
+answer, and ``harness.run_eval`` never plugs it: it prints each step's
+term from the stack and the contractum (``syntax.print_plugged``), and the
+frames below the contraction site keep their printed pieces from the step
+before.
 step_af and step_afmod remain the single-step API; they search from an
 empty stack, after checking and hygienizing the term they are given.
 """

@@ -104,9 +104,18 @@ def step_ckh(s: CKHState, supply: Optional[NameSupply] = None) -> Optional[tuple
     raise UnboundVariable(f"control is {type(control).__name__}")
 
 
-def buildL(s: CKHState) -> Term:
+def buildL(s: CKHState, reuse: Optional[dict] = None) -> Term:
     """Fold frames back into the control, then close over the heap with
-    labels; only reachable bindings are pulled in."""
+    labels; only reachable bindings are pulled in.
+
+    Every reference to a heap name becomes one shared labeled node.  reuse,
+    kept by the caller across the states of one trace, maps each heap name
+    to (heap term, the heap names it references, their labeled nodes, its
+    labeled node).  A binding is closed again only when its heap term is a
+    different object or one of those names has a different labeled node.
+    The heap names a term references never change: a name enters the heap
+    fresh, and a checked-out name is rebound here.
+    """
     heap = dict(s.heap)
     term = s.control
     for f in s.frames:
@@ -117,18 +126,16 @@ def buildL(s: CKHState) -> Term:
                 raise UnresolvableVariable(f"{f.name} is both checked out and bound")
             heap[f.name] = term
             term = Var(f.name)
-    closed: dict[Name, Term] = {}
+    closed: dict[Name, Term] = {}  # name -> Labeled(name, closed binding)
 
     def heap_refs(t: Term) -> list[Name]:
-        out = []
-        for node in _subterms(t):
-            if isinstance(node, Var) and node.name in heap and node.name not in closed:
-                out.append(node.name)
-        return out
+        return [
+            node.name for node in _subterms(t) if isinstance(node, Var) and node.name in heap
+        ]
 
     def close(t: Term) -> Term:
-        """Replace heap references with labeled closed bindings; every
-        reachable binding must already be in `closed`."""
+        """Replace heap references with their labeled closed bindings;
+        every reachable binding must already be in `closed`."""
         ENTER, EXIT = 0, 1
         work = [(ENTER, t)]
         results: list[Term] = []
@@ -136,7 +143,7 @@ def buildL(s: CKHState) -> Term:
             phase, node = work.pop()
             if phase == ENTER:
                 if isinstance(node, Var) and node.name in heap:
-                    results.append(Labeled(node.name, closed[node.name]))
+                    results.append(closed[node.name])
                 elif isinstance(node, (Lam, Labeled)):
                     work.append((EXIT, node))
                     work.append((ENTER, node.body))
@@ -169,9 +176,24 @@ def buildL(s: CKHState) -> Term:
         if name in closed:
             stack.pop()
             continue
-        deps = heap_refs(heap[name])
+        bound = heap[name]
+        if reuse is None:
+            refs = heap_refs(bound)
+        else:
+            entry = reuse.get(name)
+            if entry is None or entry[0] is not bound:
+                entry = reuse[name] = (bound, tuple(dict.fromkeys(heap_refs(bound))), (), None)
+            refs = entry[1]
+        deps = [d for d in refs if d not in closed]
         if not deps:
-            closed[name] = close(heap[name])
+            if reuse is not None and entry[3] is not None and all(
+                closed[d] is c for d, c in zip(refs, entry[2])
+            ):
+                closed[name] = entry[3]
+            else:
+                closed[name] = Labeled(name, close(bound))
+                if reuse is not None:
+                    reuse[name] = (bound, refs, tuple(closed[d] for d in refs), closed[name])
             visiting.discard(name)
             stack.pop()
             continue

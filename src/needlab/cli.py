@@ -17,9 +17,6 @@ from .results import Done
 from .syntax import ParseError, parse, print_term
 from .terms import OpenTermError, hygienize
 
-# Heap chains in long store-machine traces resolve recursively.
-sys.setrecursionlimit(20000)
-
 
 def _read_source(path: str) -> str:
     if path == "-":

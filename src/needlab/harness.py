@@ -5,6 +5,14 @@ corpus: run them, record traces, compare verdicts and answer values, and
 replay machine traces through the mapping functions to confirm each
 transition is a no-op or exactly one step of the target semantics.
 
+Traces print every state, and consecutive states share everything outside
+the contraction site.  ``run_eval`` prints through one ``PrintMemo`` per
+trace, so a node or frame printed for the previous state is not printed
+again.  af's states are the frame stack of ``af.drive`` and a contractum,
+ck's are frame tuples with shared suffixes; both print frame by frame
+(``print_plugged``) without plugging.  ckh's labeled image reuses the
+closed heap bindings that did not change (``buildL(state, reuse)``).
+
 Answer comparison works on the value component: by-need answers keep
 their binding context, so the context's bindings are substituted into the
 value before comparing (the store machine's closing does the same job via
@@ -20,12 +28,13 @@ from functools import partial
 from typing import Callable, Iterator, Optional
 
 from . import af, ck, ckh, lstep, need
-from .frames import ArgF, LamF, context_term
+from .frames import ArgF, LamF
 from .gen import enumerate_closed, gen_closed
 from .oracle import decomposition_matches, enumerate_decompositions
 from .results import Done
-from .syntax import print_term
+from .syntax import PrintMemo, print_plugged, print_term
 from .terms import (
+    HOLE,
     Lam,
     NameSupply,
     OpenTermError,
@@ -121,36 +130,35 @@ class Trace:
         }
 
 
-def _render_ck(state: ck.CKState) -> str:
-    return f"<{print_term(state.control)} | {print_term(context_term(state.frames))}>"
-
-
-def _render_ckh(state: ckh.CKHState, cache: Optional[dict] = None) -> str:
+def _render_ckh(
+    state: ckh.CKHState, cache: Optional[dict] = None, memo: Optional[PrintMemo] = None
+) -> str:
     """Print a store-machine state.
 
     cache maps each heap name to its last (term, printed entry) across the
     states of one trace; an entry is printed again only when its name is
-    bound to a different term object.
+    bound to a different term object.  memo is the trace's PrintMemo.
     """
     if cache is None:
         cache = {}
     frames = []
     for f in state.frames:
         if isinstance(f, ArgF):
-            frames.append(f"arg({print_term(f.term)})")
+            frames.append(f"arg({print_term(f.term, memo)})")
         else:
             frames.append(f"var({f.name})")
     heap = []
     for k, v in state.heap.items():
         entry = cache.get(k)
         if entry is None or entry[0] is not v:
-            entry = cache[k] = (v, f"{k} -> {print_term(v)}")
+            entry = cache[k] = (v, f"{k} -> {print_term(v, memo)}")
         heap.append(entry[1])
-    return f"<{print_term(state.control)} | ({', '.join(frames)}) | {{{', '.join(heap)}}}>"
+    return f"<{print_term(state.control, memo)} | ({', '.join(frames)}) | {{{', '.join(heap)}}}>"
 
 
 def _step_sr(u: Term, supply: NameSupply):
-    d = need.decompose(u)
+    # steps preserve closedness, so the search runs without decompose's check
+    d = need._search(u, strict=True)
     if isinstance(d, need.Answer):
         return None
     return "beta-need", need.contract(d, supply)
@@ -172,11 +180,13 @@ def _transitions(
     machine: str, state, supply: NameSupply
 ) -> Iterator[tuple[Optional[str], object]]:
     """One machine's run from state: (rule, next state) per step, then
-    (None, final state).  af's states are whole terms, plugged from its
-    resumable driver."""
+    (None, final state).  af's states are (stack, term) pairs, the term
+    plugged into the outermost-first stack that ``af.drive`` keeps; the
+    stack changes when the next step is asked for."""
     if machine in ("af", "af-mod"):
-        for rule, stack, sub in af.drive(state, machine == "af-mod", supply):
-            yield rule, af._rebuild(stack, sub)
+        _, control = state  # af.drive starts from an empty stack
+        for rule, stack, sub in af.drive(control, machine == "af-mod", supply):
+            yield rule, (stack, sub)
         return
     step = {
         "need-sr": _step_sr,
@@ -204,25 +214,46 @@ def run_eval(t: Term, machine: str, fuel: int) -> Trace:
         raise ValueError("fuel must be >= 0")
     supply = NameSupply.for_term(t)
     t = hygienize(t, supply)
-    # a state prints as render(state); ck and ckh states also map to a term
+    memo = PrintMemo()
+    # a state prints as render(state); ck and ckh states also map to a
+    # term, printed by mapped(state)
+    mapped: Optional[Callable] = None
     if machine == "ck":
-        state, render, image = ck.inject_ck(t), _render_ck, ck.build
+        state = ck.inject_ck(t)
+
+        def render(s):
+            return f"<{print_term(s.control, memo)} | {print_plugged(s.frames, HOLE, memo)}>"
+
+        def mapped(s):
+            return print_plugged(s.frames, s.control, memo)
+
     elif machine == "ckh":
-        state, render, image = ckh.inject_ckh(t), partial(_render_ckh, cache={}), ckh.buildL
+        state, reuse = ckh.inject_ckh(t), {}
+        render = partial(_render_ckh, cache={}, memo=memo)
+
+        def mapped(s):
+            return print_term(ckh.buildL(s, reuse), memo)
+
+    elif machine in ("af", "af-mod"):
+        state = ([], t)
+
+        def render(s):
+            return print_plugged(s[0][::-1], s[1], memo)
+
     else:
-        state, render, image = t, print_term, None
+        state, render = t, partial(print_term, memo=memo)
     initial = render(state)
     steps: list[TraceStep] = []
     verdict, answer = "timeout", None
     for rule, state in _transitions(machine, state, supply):
+        memo.next_state()
         if rule is None:
             verdict = "done"
-            answer = print_term(state if image is None else image(state))
+            answer = render(state) if mapped is None else mapped(state)
             break
         if len(steps) == fuel:
             break
-        mapped = None if image is None else print_term(image(state))
-        steps.append(TraceStep(rule, render(state), mapped))
+        steps.append(TraceStep(rule, render(state), None if mapped is None else mapped(state)))
     return Trace(machine, fuel, initial, steps, verdict, answer)
 
 

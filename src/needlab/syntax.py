@@ -4,17 +4,25 @@ Grammar (UTF-8):
 
     term  ::= '\\' ident '.' term | app
     app   ::= atom+                      (left associative)
-    atom  ::= ident | '(' term ')'
+    atom  ::= ident | ident ':' '(' term ')' | '(' term ')'
     ident ::= [A-Za-z_][A-Za-z0-9_']*
 
 A lambda body extends maximally to the right.  ``λ`` is a synonym for
 ``\\``.  ``--`` starts a comment running to end of line.  A bare ``%`` is
 banned inside identifiers, but an identifier may carry a ``%N`` suffix
 denoting a machine-minted name with generation index N; the printer emits
-these for fresh names, so printed terms always parse back.
+these for fresh names.  ``l:(t)`` is t under the sharing label l, as the
+labeled semantics and the store machine's image print it.  Printed terms,
+labeled ones included, always parse back.
+
+Traces print one state after another, and consecutive states share most of
+their nodes.  ``print_term`` and ``print_plugged`` take an optional
+``PrintMemo`` that carries the printed text of the previous state's nodes
+and frames, so that a state costs only what changed.
 """
 from __future__ import annotations
 
+from .frames import ArgF, Frames, LamF
 from .terms import HOLE, App, Labeled, Lam, Name, Term, Var
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -67,6 +75,9 @@ class _Lexer:
             elif c == ".":
                 self.tokens.append(("dot", None, line, col))
                 self._advance()
+            elif c == ":":
+                self.tokens.append(("colon", None, line, col))
+                self._advance()
             elif c == "(":
                 self.tokens.append(("lparen", None, line, col))
                 self._advance()
@@ -101,12 +112,13 @@ class _Lexer:
 class _Group:
     """One term-in-progress: leading binders, then application atoms."""
 
-    __slots__ = ("binders", "atoms", "open_tok")
+    __slots__ = ("binders", "atoms", "open_tok", "label")
 
-    def __init__(self, open_tok=None):
+    def __init__(self, open_tok=None, label: Name | None = None):
         self.binders: list[Name] = []
         self.atoms: list[Term] = []
         self.open_tok = open_tok  # the '(' token for paren groups, else None
+        self.label = label  # the l of an l:(...) group
 
     def close(self, tok) -> Term:
         if not self.atoms:
@@ -141,6 +153,14 @@ def parse(text: str) -> Term:
             if dot_tok[0] != "dot":
                 raise ParseError(f"expected dot, found {dot_tok[0]}", dot_tok[2], dot_tok[3])
             stack[-1].binders.append(name_tok[1])
+        elif kind == "ident" and tokens[at][0] == "colon":
+            paren_tok = tokens[at + 1]
+            at += 2
+            if paren_tok[0] != "lparen":
+                raise ParseError(
+                    f"expected lparen, found {paren_tok[0]}", paren_tok[2], paren_tok[3]
+                )
+            stack.append(_Group(paren_tok, value))
         elif kind == "ident":
             stack[-1].atoms.append(Var(value))
         elif kind == "hole":
@@ -152,7 +172,8 @@ def parse(text: str) -> Term:
             if group.open_tok is None:
                 raise ParseError("unexpected trailing rparen", line, col)
             stack.pop()
-            stack[-1].atoms.append(group.close((kind, value, line, col)))
+            body = group.close((kind, value, line, col))
+            stack[-1].atoms.append(body if group.label is None else Labeled(group.label, body))
         elif kind == "eof":
             group = stack[-1]
             if group.open_tok is not None:
@@ -167,10 +188,68 @@ def parse(text: str) -> Term:
 # applications (argument position).
 _TOP, _OPER, _ATOM = 0, 1, 2
 
+# work item that ends the text of the node on top of PrintMemo.marks
+_STORE = object()
+_END = (_STORE, None)
 
-def print_term(t: Term) -> str:
+
+class PrintMemo:
+    """Printed text carried from one state of a trace to the next.
+
+    Compound nodes map to their bare text (the parent adds parentheses) and
+    (frame, level) pairs to their pieces; both are matched by identity.
+    ``next_state`` keeps only the entries the state just printed used, so
+    the memo holds one state's text.
+    """
+
+    __slots__ = ("prev", "cur", "marks")
+
+    def __init__(self):
+        self.prev: dict = {}
+        self.cur: dict = {}
+        self.marks: list = []  # node and start in out of each open _END
+
+    def get(self, key):
+        text = self.cur.get(key)
+        if text is None:
+            text = self.prev.get(key)
+            if text is not None:
+                self.cur[key] = text
+        return text
+
+    def next_state(self) -> None:
+        self.prev, self.cur = self.cur, {}
+
+    def emit(self, node, out: list, work: list) -> bool:
+        """Append the node's text to out if remembered; else mark where it
+        starts, for the _END item pushed on work to store it."""
+        text = self.cur.get(node)
+        if text is None:
+            text = self.prev.get(node)
+            if text is None:
+                self.marks.append(node)
+                self.marks.append(len(out))
+                work.append(_END)
+                return False
+            self.cur[node] = text
+        out.append(text)
+        return True
+
+
+def print_term(t: Term, memo: PrintMemo | None = None) -> str:
+    """Minimal-parenthesis text of t.  With a memo, a node printed for the
+    previous state is emitted as its stored text."""
+    return _print(t, _TOP, memo)
+
+
+def _print(t: Term, level: int, memo: PrintMemo | None) -> str:
     out: list[str] = []
-    work: list = [(t, _TOP)]
+    work: list = [(t, level)]
+    if memo is not None:
+        emit = memo.emit
+
+    # with a memo, nodes whose children are all variables are printed, not
+    # looked up: they print about as fast as a lookup
     while work:
         item = work.pop()
         if isinstance(item, str):
@@ -185,19 +264,79 @@ def print_term(t: Term) -> str:
             if level > _TOP:
                 out.append("(")
                 work.append(")")
-            out.append(f"\\{node.binder}.")
-            work.append((node.body, _TOP))
+            if memo is None or node.body.__class__ is Var or not emit(node, out, work):
+                out.append(f"\\{node.binder}.")
+                work.append((node.body, _TOP))
         elif isinstance(node, App):
             if level > _OPER:
                 out.append("(")
                 work.append(")")
-            work.append((node.arg, _ATOM))
-            work.append(" ")
-            work.append((node.fn, _OPER))
+            if (
+                memo is None
+                or (node.fn.__class__ is Var and node.arg.__class__ is Var)
+                or not emit(node, out, work)
+            ):
+                work.append((node.arg, _ATOM))
+                work.append(" ")
+                work.append((node.fn, _OPER))
         elif isinstance(node, Labeled):
-            out.append(f"{node.label}:(")
-            work.append(")")
-            work.append((node.body, _TOP))
+            if memo is None or node.body.__class__ is Var or not emit(node, out, work):
+                out.append(f"{node.label}:(")
+                work.append(")")
+                work.append((node.body, _TOP))
+        elif node is _STORE:
+            start = memo.marks.pop()
+            text = "".join(out[start:])
+            del out[start:]
+            out.append(text)
+            memo.cur[memo.marks.pop()] = text
         else:
             raise TypeError(f"cannot print {node!r}")
     return "".join(out)
+
+
+def print_plugged(frames: Frames, t: Term, memo: PrintMemo | None = None) -> str:
+    """print_term(plug(frames, t), memo), printed frame by frame without
+    building the plugged term."""
+    lefts, rights, level = _context_text(frames, _TOP, memo)
+    lefts.append(_print(t, level, memo))
+    lefts += rights
+    return "".join(lefts)
+
+
+def _context_text(frames: Frames, level: int, memo: PrintMemo | None):
+    """The frames printed at level: their left pieces outermost first,
+    their right pieces innermost first, and the level of the hole."""
+    lefts: list[str] = []
+    rights: list[str] = []
+    for f in reversed(frames):
+        piece = None if memo is None else memo.get((f, level))
+        if piece is None:
+            piece = _frame_text(f, level, memo)
+        left, right, level = piece
+        lefts.append(left)
+        rights.append(right)
+    rights.reverse()
+    return lefts, rights, level
+
+
+def _frame_text(f, level: int, memo: PrintMemo | None):
+    """(left, right, level of the hole) for one frame printed at level; the
+    pieces depend on nothing else."""
+    if isinstance(f, ArgF):
+        paren = level > _OPER
+        arg = _print(f.term, _ATOM, memo)
+        piece = ("(" if paren else "", f" {arg})" if paren else f" {arg}", _OPER)
+    elif isinstance(f, LamF):
+        paren = level > _TOP
+        piece = (("(" if paren else "") + f"\\{f.binder}.", ")" if paren else "", _TOP)
+    else:  # BodF: the hole is the argument of between[\\x. inner[x]]
+        lefts, rights, hole = _context_text(f.between, _OPER, memo)
+        lam = f"\\{f.binder}." + print_plugged(f.inner, Var(f.binder), memo)
+        lefts.append(f"({lam})" if hole > _TOP else lam)
+        lefts += rights
+        paren = level > _OPER
+        piece = (("(" if paren else "") + "".join(lefts) + " ", ")" if paren else "", _ATOM)
+    if memo is not None:
+        memo.cur[(f, level)] = piece
+    return piece

@@ -269,6 +269,23 @@ def freshen(t: Term, supply: NameSupply) -> Term:
     return _rebuild(t, var_fn, lam_fn, lambda n, e: None)
 
 
+def _capture_avoiding(x: Name, fvs: set[Name], supply: NameSupply):
+    """The lam_fn of substituting for x a term whose free variables are fvs:
+    binders of x block the substitution, and binders in fvs are renamed."""
+
+    def lam_fn(node, env):
+        y = node.binder
+        if y == x:
+            # x is shadowed below: block replacement via an identity entry.
+            return y, (y, y, env)
+        if y in fvs:
+            ny = supply.fresh(y.base)
+            return ny, (y, ny, env)
+        return y, (y, y, env)
+
+    return lam_fn
+
+
 def subst(
     t: Term,
     x: Name,
@@ -286,7 +303,6 @@ def subst(
     """
     if supply is None:
         supply = NameSupply.for_terms((t, s))
-    fvs = free_vars(s)
     used_first = [not keep_first]
 
     def var_fn(node, env):
@@ -300,17 +316,7 @@ def subst(
             return freshen(s, supply)
         return node
 
-    def lam_fn(node, env):
-        y = node.binder
-        if y == x:
-            # x is shadowed below: block replacement via an identity entry.
-            return y, (y, y, env)
-        if y in fvs:
-            ny = supply.fresh(y.base)
-            return ny, (y, ny, env)
-        return y, (y, y, env)
-
-    return _rebuild(t, var_fn, lam_fn, lambda n, e: None)
+    return _rebuild(t, var_fn, _capture_avoiding(x, free_vars(s), supply), lambda n, e: None)
 
 
 def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Term:
@@ -322,7 +328,6 @@ def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None)
     """
     if supply is None:
         supply = NameSupply.for_terms((t, s))
-    fvs = free_vars(s)
 
     def var_fn(node, env):
         new = _chain_lookup(env, node.name)
@@ -330,16 +335,7 @@ def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None)
             return node if new == node.name else Var(new)
         return s if node.name == x else node
 
-    def lam_fn(node, env):
-        y = node.binder
-        if y == x:
-            return y, (y, y, env)
-        if y in fvs:
-            ny = supply.fresh(y.base)
-            return ny, (y, ny, env)
-        return y, (y, y, env)
-
-    return _rebuild(t, var_fn, lam_fn, lambda n, e: None)
+    return _rebuild(t, var_fn, _capture_avoiding(x, free_vars(s), supply), lambda n, e: None)
 
 
 def is_hygienic(t: Term) -> bool:

@@ -16,7 +16,7 @@ from needlab.ckh import (
 from needlab.gen import gen_closed
 from needlab.lstep import is_cl, step_lstep
 from needlab.results import Done, Timeout
-from needlab.syntax import parse
+from needlab.syntax import parse, print_term
 from needlab.terms import (
     App,
     Labeled,
@@ -179,3 +179,31 @@ def test_extensional_agreement_with_need():
         assert isinstance(a, Done) == isinstance(b, Done)
         if isinstance(a, Done):
             assert alpha_eq(answer_value("need-sr", a), answer_value("ckh", b))
+
+
+def test_buildL_reuse_matches_fresh_build():
+    # a%2 -> \w.x%1 stays the same heap object while x%1 is checked out,
+    # evaluated and rebound by updateheap: its closed term must follow x%1
+    terms = [parse(r"(\x.(\a.x a) (\w.x)) ((\y.y) (\z.z))"), parse(r"(\x.x x) ((\y.y) (\z.z))")]
+    terms += [gen_closed(42 + i, 25) for i in range(40)]
+    reused = rebound_dependency = 0
+    for t in terms:
+        sup = NameSupply.for_term(t)
+        s = inject_ckh(hygienize(t, sup))
+        reuse: dict = {}
+        for _ in range(400):
+            before = {k: v[3] for k, v in reuse.items()}
+            out = buildL(s, reuse)
+            assert term_eq(out, buildL(s)), print_term(out)
+            reused += sum(reuse[k][3] is c for k, c in before.items())
+            r = step_ckh(s, sup)
+            if r is None:
+                break
+            rule, s2 = r
+            if rule == UPDATEHEAP:
+                name = s.frames[0].name
+                rebound_dependency += any(
+                    v[0] is s2.heap.get(k) and name in v[1] for k, v in reuse.items() if k != name
+                )
+            s = s2
+    assert reused > 0 and rebound_dependency > 0

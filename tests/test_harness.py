@@ -6,12 +6,14 @@ import sys
 import pytest
 
 import needlab
-from needlab import af, ckh
+from needlab import af, ck, ckh
 from needlab.cli import main as cli_main
+from needlab.frames import context_term, plug
 from needlab.harness import (
     MACHINES,
     SIM_PAIRS,
     _render_ckh,
+    _transitions,
     answer_value,
     check_confluence,
     check_simulation,
@@ -247,3 +249,84 @@ def test_cli_trace_into_closed_pipe(tmp_path):
     assert first.startswith(b"machine: af")
     assert b"Traceback" not in err, err.decode()
     assert proc.returncode == 1
+
+
+def _one_shot(machine, state):
+    # (term, mapped) of a state printed from scratch, without any memo
+    if machine in ("af", "af-mod"):
+        stack, sub = state
+        return print_term(plug(tuple(reversed(stack)), sub)), None
+    if machine == "ck":
+        term = f"<{print_term(state.control)} | {print_term(context_term(state.frames))}>"
+        return term, print_term(ck.build(state))
+    if machine == "ckh":
+        return _render_ckh(state), print_term(ckh.buildL(state))
+    return print_term(state), None
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_run_eval_prints_states_as_one_shot_renderings(machine):
+    # run_eval prints each state from what changed since the last one; every
+    # step must read as the state printed from scratch
+    terms = [gen_closed(42 + i, 25) for i in range(80)] + [LEQ]
+    for i, t in enumerate(terms):
+        tr = run_eval(t, machine, 400)
+        supply = NameSupply.for_term(t)
+        state = hygienize(t, supply)
+        state = {"ck": ck.inject_ck, "ckh": ckh.inject_ckh}.get(machine, lambda u: u)(state)
+        if machine in ("af", "af-mod"):
+            state = ([], state)
+        assert tr.initial == _one_shot(machine, state)[0], i
+        steps = iter(tr.steps)
+        for rule, state in _transitions(machine, state, supply):
+            term, mapped = _one_shot(machine, state)
+            if rule is None:
+                assert (tr.verdict, tr.answer) == ("done", mapped or term), i
+                break
+            s = next(steps, None)
+            if s is None:
+                assert tr.verdict == "timeout", i
+                break
+            assert (s.rule, s.term, s.mapped) == (rule, term, mapped), (i, len(tr.steps))
+    assert tr.verdict == "done"
+
+
+def test_labeled_output_parses_back():
+    # lstep and ckh print labeled terms; each must reprint to itself
+    terms = [gen_closed(42 + i, 25) for i in range(50)] + [LEQ]
+    labeled = 0
+    for t in terms:
+        printed = []
+        tr = run_eval(t, "lstep", 1000)
+        printed += [s.term for s in tr.steps] + [tr.answer]
+        tr = run_eval(t, "ckh", 1000)
+        printed += [s.mapped for s in tr.steps] + [tr.answer]
+        for text in printed:
+            if text is not None:
+                assert print_term(parse(text)) == text
+                labeled += ":(" in text
+    assert labeled > 500
+
+
+@pytest.mark.parametrize(
+    "source",
+    [r"(\x0.x0 x0 x0) (\x1.x1 x1)", print_term(gen_closed(116, 25))],
+    ids=["omega3", "corpus74"],
+)
+def test_cli_long_traces_within_default_recursion_limit(tmp_path, source):
+    # divergent witnesses at fuel 2000 grow deep terms and frame stacks;
+    # the CLI runs under the interpreter's default recursion limit
+    f = tmp_path / "w.lam"
+    f.write_text(source + "\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(needlab.__file__)))
+    for machine in MACHINES:
+        proc = subprocess.run(
+            [sys.executable, "-m", "needlab.cli", "trace", "--machine", machine]
+            + ["--fuel", "2000", str(f)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, (machine, proc.stderr.decode()[-2000:])
+        assert b"RecursionError" not in proc.stderr, machine

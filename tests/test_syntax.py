@@ -1,7 +1,13 @@
+import random
+
 import pytest
 
-from needlab.syntax import ParseError, parse, print_term
-from needlab.terms import App, Lam, Name, Var, term_eq
+from needlab import ck, ckh
+from needlab.frames import ArgF, BodF, LamF, plug
+from needlab.gen import gen_closed
+from needlab.harness import MACHINES, _transitions
+from needlab.syntax import ParseError, PrintMemo, parse, print_plugged, print_term
+from needlab.terms import HOLE, App, Labeled, Lam, Name, NameSupply, Var, hygienize, term_eq
 
 
 def test_parse_single_production():
@@ -64,3 +70,108 @@ def test_round_trip():
     for src in sources:
         t = parse(src)
         assert term_eq(parse(print_term(t)), t)
+
+
+def test_parse_labeled():
+    t = parse(r"x%1:(\y.y) z%2:(w)")
+    assert term_eq(
+        t,
+        App(
+            Labeled(Name("x", 1), Lam(Name("y"), Var(Name("y")))),
+            Labeled(Name("z", 2), Var(Name("w"))),
+        ),
+    )
+    for src in [r"x%1:(y%2:(\z.z)) (\a.a%3:(a))", r"\v.f%4:(v v) q%5:(r%6:(s))"]:
+        assert print_term(parse(src)) == src
+    with pytest.raises(ParseError):
+        parse(r"x%1:\y.y")
+    with pytest.raises(ParseError):
+        parse("x%1:(y")
+
+
+def _machine_terms(machine, t, fuel):
+    # the whole term of each state of one machine's run
+    supply = NameSupply.for_term(t)
+    t = hygienize(t, supply)
+    state = {"ck": ck.inject_ck, "ckh": ckh.inject_ckh}.get(machine, lambda u: u)(t)
+    if machine in ("af", "af-mod"):
+        state = ([], t)
+    image = {
+        "af": lambda s: plug(tuple(reversed(s[0])), s[1]),
+        "af-mod": lambda s: plug(tuple(reversed(s[0])), s[1]),
+        "ck": ck.build,
+        "ckh": ckh.buildL,
+    }.get(machine, lambda s: s)
+    out = [image(state)]
+    for rule, state in _transitions(machine, state, supply):
+        out.append(image(state))
+        if rule is None or len(out) > fuel:
+            return out
+    return out
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_print_with_memo_matches_plain_print(machine):
+    # consecutive states share nodes; the memo must print each state as a
+    # fresh print does, also after it drops what a state did not use
+    for i in range(40):
+        memo = PrintMemo()
+        for t in _machine_terms(machine, gen_closed(42 + i, 25), 300):
+            assert print_term(t, memo) == print_term(t), (i, machine)
+            assert print_term(t, memo) == print_term(t)  # now every node is a hit
+            memo.next_state()
+
+
+def _random_term(rng, depth):
+    pick = rng.randrange(6 if depth else 2)
+    if pick == 0:
+        return Var(Name(rng.choice("xyz"), rng.randrange(3)))
+    if pick == 1:
+        return HOLE if depth and rng.random() < 0.1 else Var(Name("w"))
+    if pick == 2:
+        return Lam(Name(rng.choice("xyz")), _random_term(rng, depth - 1))
+    if pick == 3:
+        return Labeled(Name("l", rng.randrange(1, 4)), _random_term(rng, depth - 1))
+    return App(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
+
+
+def _random_frames(rng, n, depth):
+    frames = []
+    for _ in range(n):
+        kind = rng.randrange(3 if depth else 2)
+        if kind == 0:
+            frames.append(ArgF(_random_term(rng, 3)))
+        elif kind == 1:
+            frames.append(LamF(Name(rng.choice("xyz"))))
+        else:
+            frames.append(
+                BodF(
+                    Name(rng.choice("xyz")),
+                    tuple(_random_frames(rng, rng.randrange(4), depth - 1)),
+                    tuple(_random_frames(rng, rng.randrange(4), depth - 1)),
+                )
+            )
+    return frames
+
+
+def test_print_plugged_matches_plugged_term():
+    rng = random.Random(7)
+    kinds = set()
+    full_bodies = 0
+    for _ in range(2000):
+        frames = tuple(_random_frames(rng, rng.randrange(6), 2))
+        t = rng.choice([HOLE, Var(Name("v")), _random_term(rng, 3)])
+        kinds.add((type(frames[0]).__name__ if frames else None, type(t).__name__))
+        full_bodies += any(isinstance(f, BodF) and f.inner and f.between for f in frames)
+        assert print_plugged(frames, t) == print_term(plug(frames, t))
+        # one memo, the same frames under outer frames that change their levels
+        memo = PrintMemo()
+        y = Name("y")
+        for outer in ((), (ArgF(Var(y)),), (LamF(y),), (BodF(y, (), ()),), ()):
+            expected = print_term(plug(frames + outer, t))
+            assert print_plugged(frames + outer, t, memo) == expected
+            memo.next_state()
+    # every frame kind around every kind of filler, hence every level
+    fillers = {"_Hole", "Var", "Lam", "App", "Labeled"}
+    assert {(k, f) for k in ("ArgF", "LamF", "BodF", None) for f in fillers} <= kinds
+    assert full_bodies > 100
