@@ -1,6 +1,6 @@
 """needlab: a workbench for the single-axiom call-by-need lambda calculus.
 
-Five interchangeable semantics over one term language (the by-need
+Seven interchangeable semantics over one term language (the by-need
 standard reduction, the classical call-by-need calculus and its modified
 variant, call-by-name, a CK transition system, a heap-based store
 machine, and a labeled parallel rewriting system), plus the mapping

@@ -20,9 +20,10 @@ The redex search reuses the shared frame machinery: a BodF frame with an
 empty between-context plays the demand frame (lam x. E[x]) [] while the
 argument reduces.  The search is resumable (refocusing): a contraction
 leaves the frame stack truncated at the contraction site, and the next
-search starts from the contractum on top of it.  One driver, ``drive``,
-keeps the stack for a whole run: the evaluators plug it only for the final
-answer, and ``harness.run_eval`` never plugs it: it prints each step's
+search starts from the contractum on top of it.  One driver per calculus
+(``drive_af``, ``drive_afmod``) keeps the stack for a whole run: the
+evaluators plug it only for the final answer (``build``), and
+``harness.run_eval`` never plugs it: it prints each step's
 term from the stack and the contractum (``syntax.print_plugged``), and the
 frames below the contraction site keep their printed pieces from the step
 before.
@@ -31,10 +32,11 @@ empty stack, after checking and hygienizing the term they are given.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from functools import partial
+from typing import Optional
 
 from .frames import ArgF, BodF, Frames, LamF, plug
-from .results import Done, Timeout
+from .results import evaluate
 from .terms import (
     App,
     Lam,
@@ -77,7 +79,14 @@ def is_af_answer(t: Term) -> bool:
     return af_answer_split(t) is not None
 
 
-def _rebuild(stack: list, sub: Term) -> Term:
+def inject(t: Term) -> tuple[list, Term]:
+    """The driver's initial state: an empty frame stack and the term."""
+    return [], t
+
+
+def build(state: tuple[list, Term]) -> Term:
+    """The whole term of a driver state: its term plugged into its stack."""
+    stack, sub = state
     return plug(tuple(reversed(stack)), sub)
 
 
@@ -189,73 +198,54 @@ def _resolve_value(v: Term, stack: list, modified: bool, supply: NameSupply):
     return ASSOC, new
 
 
-def _step_from_root(t: Term, modified: bool, supply: NameSupply) -> Optional[tuple[str, Term]]:
+def _step_from_root(t: Term, modified: bool, supply: Optional[NameSupply]):
+    if not is_closed(t):
+        raise OpenTermError("a standard step requires a closed term")
+    if supply is None:
+        supply = NameSupply.for_term(t)
     stack: list = []
-    rule, new = _step(stack, t, modified, supply)
-    if rule is None:
-        return None
-    return rule, _rebuild(stack, new)
+    rule, new = _step(stack, hygienize(t, supply), modified, supply)
+    return None if rule is None else (rule, build((stack, new)))
 
 
 def step_af(t: Term, supply: Optional[NameSupply] = None) -> Optional[tuple[str, Term]]:
     """One leftmost standard step of the plain calculus; absent on answers."""
-    if not is_closed(t):
-        raise OpenTermError("step_af requires a closed term")
-    if supply is None:
-        supply = NameSupply.for_term(t)
-    return _step_from_root(hygienize(t, supply), False, supply)
+    return _step_from_root(t, False, supply)
 
 
 def step_afmod(t: Term, supply: Optional[NameSupply] = None) -> Optional[tuple[str, Term]]:
     """One standard step of the modified calculus; absent on answers."""
-    if not is_closed(t):
-        raise OpenTermError("step_afmod requires a closed term")
-    if supply is None:
-        supply = NameSupply.for_term(t)
-    return _step_from_root(hygienize(t, supply), True, supply)
+    return _step_from_root(t, True, supply)
 
 
-def drive(
-    control: Term, modified: bool, supply: NameSupply
-) -> Iterator[tuple[Optional[str], list, Term]]:
+def _drive(state: tuple[list, Term], supply: NameSupply, modified: bool):
     """Reduce a closed hygienic term, resuming each search at the last
-    contraction site.
+    contraction site.  A state is (stack, term), plugging the term into
+    the outermost-first stack gives the whole term.
 
-    Yields (rule, stack, contractum) per step and finally (None, stack,
-    value) on an answer; plugging the third component into the stack gives
-    the whole term.  The stack is the driver's own and changes on resumption,
-    so read it before asking for the next step.  Steps preserve closedness
-    and hygiene, so they need no re-check.
+    Yields (rule, state) per step and finally (None, state), the stack then
+    holding the answer context around the value.  The stack is the
+    driver's own and changes on resumption, so read it before asking for
+    the next step.  Steps preserve closedness and hygiene: no re-check.
     """
-    stack: list = []
+    stack, control = state
     while True:
         rule, control = _step(stack, control, modified, supply)
-        yield rule, stack, control
+        yield rule, (stack, control)
         if rule is None:
             return
 
 
-def _eval(t: Term, fuel: int, modified: bool):
-    if not is_closed(t):
-        raise OpenTermError("evaluation requires a closed term")
-    if fuel < 0:
-        raise ValueError("fuel must be >= 0")
-    supply = NameSupply.for_term(t)
-    steps = 0
-    for rule, stack, new in drive(hygienize(t, supply), modified, supply):
-        if rule is None:
-            return Done(_rebuild(stack, new), steps)
-        if steps == fuel:
-            return Timeout(steps)
-        steps += 1
+drive_af = partial(_drive, modified=False)
+drive_afmod = partial(_drive, modified=True)
 
 
 def eval_af(t: Term, fuel: int):
-    return _eval(t, fuel, False)
+    return evaluate(t, fuel, drive_af, build, inject)
 
 
 def eval_afmod(t: Term, fuel: int):
-    return _eval(t, fuel, True)
+    return evaluate(t, fuel, drive_afmod, build, inject)
 
 
 def step_name(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
@@ -278,19 +268,15 @@ def step_name(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     return new
 
 
+def drive_name(t: Term, supply: NameSupply):
+    """Call-by-name from a closed hygienic term: ("beta", term) per step,
+    then (None, value)."""
+    while not isinstance(t, Lam):
+        t = step_name(t, supply)
+        yield "beta", t
+    yield None, t
+
+
 def eval_name(t: Term, fuel: int):
     """Call-by-name evaluation to a value."""
-    if not is_closed(t):
-        raise OpenTermError("eval_name requires a closed term")
-    if fuel < 0:
-        raise ValueError("fuel must be >= 0")
-    supply = NameSupply.for_term(t)
-    t = hygienize(t, supply)
-    steps = 0
-    while True:
-        if isinstance(t, Lam):
-            return Done(t, steps)
-        if steps == fuel:
-            return Timeout(steps)
-        t = step_name(t, supply)
-        steps += 1
+    return evaluate(t, fuel, drive_name)

@@ -34,7 +34,7 @@ from .frames import (
     split_inner_partial,
     split_outer_partial,
 )
-from .results import Done, Timeout
+from .results import evaluate, iterate
 from .terms import (
     App,
     Labeled,
@@ -43,7 +43,6 @@ from .terms import (
     OpenTermError,
     Term,
     Var,
-    hygienize,
     is_closed,
     subst,
     subst_shared,
@@ -205,23 +204,13 @@ def build_step_term(s: CKState, supply: Optional[NameSupply] = None) -> Term:
     return e
 
 
+def drive(s: CKState, supply: NameSupply):
+    return iterate(step_ck, s, supply)
+
+
 def eval_ck(t: Term, fuel: int):
     """Drive the transition system; the answer is the built final state."""
-    if not is_closed(t):
-        raise OpenTermError("eval_ck requires a closed term")
-    if fuel < 0:
-        raise ValueError("fuel must be >= 0")
-    supply = NameSupply.for_term(t)
-    state = inject_ck(hygienize(t, supply))
-    steps = 0
-    while True:
-        r = step_ck(state, supply)
-        if r is None:
-            return Done(build(state), steps)
-        if steps == fuel:
-            return Timeout(steps)
-        state = r[1]
-        steps += 1
+    return evaluate(t, fuel, drive, build, inject_ck)
 
 
 __all__ = [
@@ -236,6 +225,7 @@ __all__ = [
     "buildF",
     "build_step_term",
     "classify_frames",
+    "drive",
     "eval_ck",
     "inject_ck",
     "is_demand_frames",

@@ -12,11 +12,11 @@ binding in a label named after its heap variable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .frames import ArgF, Frames
-from .results import Done, Timeout
+from .results import evaluate, iterate
 from .terms import (
     App,
     Labeled,
@@ -26,8 +26,8 @@ from .terms import (
     OpenTermError,
     Term,
     Var,
-    hygienize,
     is_closed,
+    rewrite,
     subst,
     subterms as _subterms,
 )
@@ -49,11 +49,7 @@ class VarF:
 class CKHState:
     control: Term
     frames: Frames = ()
-    heap: dict = None  # Name -> Term, insertion ordered
-
-    def __post_init__(self):
-        if self.heap is None:
-            object.__setattr__(self, "heap", {})
+    heap: dict = field(default_factory=dict)  # Name -> Term, insertion ordered
 
 
 class UnboundVariable(AssertionError):
@@ -133,40 +129,8 @@ def buildL(s: CKHState, reuse: Optional[dict] = None) -> Term:
             node.name for node in _subterms(t) if isinstance(node, Var) and node.name in heap
         ]
 
-    def close(t: Term) -> Term:
-        """Replace heap references with their labeled closed bindings;
-        every reachable binding must already be in `closed`."""
-        ENTER, EXIT = 0, 1
-        work = [(ENTER, t)]
-        results: list[Term] = []
-        while work:
-            phase, node = work.pop()
-            if phase == ENTER:
-                if isinstance(node, Var) and node.name in heap:
-                    results.append(closed[node.name])
-                elif isinstance(node, (Lam, Labeled)):
-                    work.append((EXIT, node))
-                    work.append((ENTER, node.body))
-                elif isinstance(node, App):
-                    work.append((EXIT, node))
-                    work.append((ENTER, node.arg))
-                    work.append((ENTER, node.fn))
-                else:
-                    results.append(node)
-            else:
-                if isinstance(node, Lam):
-                    body = results.pop()
-                    results.append(node if body is node.body else Lam(node.binder, body))
-                elif isinstance(node, Labeled):
-                    body = results.pop()
-                    results.append(node if body is node.body else Labeled(node.label, body))
-                else:
-                    arg = results.pop()
-                    fn = results.pop()
-                    results.append(
-                        node if fn is node.fn and arg is node.arg else App(fn, arg)
-                    )
-        return results[0]
+    def ref(node: Var) -> Term:  # its binding must already be in `closed`
+        return closed[node.name] if node.name in heap else node
 
     # resolve reachable bindings in dependency order, detecting cycles
     visiting: set[Name] = set()
@@ -191,7 +155,7 @@ def buildL(s: CKHState, reuse: Optional[dict] = None) -> Term:
             ):
                 closed[name] = entry[3]
             else:
-                closed[name] = Labeled(name, close(bound))
+                closed[name] = Labeled(name, rewrite(bound, var=ref))
                 if reuse is not None:
                     reuse[name] = (bound, refs, tuple(closed[d] for d in refs), closed[name])
             visiting.discard(name)
@@ -207,23 +171,13 @@ def buildL(s: CKHState, reuse: Optional[dict] = None) -> Term:
             if d in visiting:
                 raise UnresolvableVariable(f"cyclic heap reference through {d}")
             stack.append(d)
-    return close(term)
+    return rewrite(term, var=ref)
+
+
+def drive(s: CKHState, supply: NameSupply):
+    return iterate(step_ckh, s, supply)
 
 
 def eval_ckh(t: Term, fuel: int):
     """Drive the store machine; the result is the closed final control."""
-    if not is_closed(t):
-        raise OpenTermError("eval_ckh requires a closed term")
-    if fuel < 0:
-        raise ValueError("fuel must be >= 0")
-    supply = NameSupply.for_term(t)
-    state = inject_ckh(hygienize(t, supply))
-    steps = 0
-    while True:
-        r = step_ckh(state, supply)
-        if r is None:
-            return Done(buildL(state), steps)
-        if steps == fuel:
-            return Timeout(steps)
-        state = r[1]
-        steps += 1
+    return evaluate(t, fuel, drive, buildL, inject_ckh)

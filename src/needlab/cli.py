@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit status is 0 only when the requested check reports no mismatches or
-violations; parse errors and bad usage exit 2.  Output cut short by a
+violations; parse errors, open terms, a FILE that cannot be read and bad
+usage (including a negative fuel or depth, or a count or size below 1)
+exit 2 with a message and no traceback.  Output cut short by a
 closed pipe (``needlab trace ... | head``) exits 1 without a traceback.
 """
 from __future__ import annotations
@@ -18,30 +20,26 @@ from .syntax import ParseError, parse, print_term
 from .terms import OpenTermError, hygienize
 
 
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load_term(path: str, prelude: bool = False):
-    t = parse(_read_source(path))
-    if prelude:
-        t = expand_prelude(t)
-    return t
+def _load_term(args):
+    """The term in args.file (- for stdin), expanded under --prelude."""
+    if args.file == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    t = parse(text)
+    return expand_prelude(t) if getattr(args, "prelude", False) else t
 
 
 def _cmd_parse(args) -> int:
-    t = _load_term(args.file)
-    print(print_term(t))
+    print(print_term(_load_term(args)))
     return 0
 
 
 def _cmd_eval(args) -> int:
     # the evaluator directly: a trace would render every intermediate step
-    t = _load_term(args.file, prelude=args.prelude)
-    result = harness._eval_fn(args.machine)(t, args.fuel)
+    t = _load_term(args)
+    result = harness.MACHINE_TABLE[args.machine].eval(t, args.fuel)
     if isinstance(result, Done):
         print(f"done in {result.steps} steps: {print_term(result.answer)}")
         return 0
@@ -50,7 +48,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    t = _load_term(args.file, prelude=args.prelude)
+    t = _load_term(args)
     trace = harness.run_eval(t, args.machine, args.fuel)
     if args.json:
         print(harness.to_json_str(trace.to_json()))
@@ -65,7 +63,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    t = hygienize(_load_term(args.file, prelude=args.prelude))
+    t = hygienize(_load_term(args))
     d = need.decompose(t)
     if isinstance(d, need.Answer):
         print("answer")
@@ -84,29 +82,27 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_diff(args) -> int:
-    report = harness.run_diff(args.seed, args.count, args.max_size, args.fuel)
-    print(harness.to_json_str(report.to_json()))
-    return 0 if report.ok else 1
+def _report(run):
+    """A command that prints a report as JSON; exit 0 iff it is ok."""
+
+    def command(args) -> int:
+        report = run(args)
+        print(harness.to_json_str(report.to_json()))
+        return 0 if report.ok else 1
+
+    return command
 
 
-def _cmd_check_sim(args) -> int:
-    t = _load_term(args.file)
-    report = harness.check_simulation(t, args.pair, args.fuel)
-    print(harness.to_json_str(report.to_json()))
-    return 0 if report.ok else 1
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
 
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
 
-def _cmd_check_ud(args) -> int:
-    report = harness.check_unique_decomposition(args.max_size)
-    print(harness.to_json_str(report.to_json()))
-    return 0 if report.ok else 1
-
-
-def _cmd_check_cr(args) -> int:
-    report = harness.check_confluence(args.max_size, args.depth)
-    print(harness.to_json_str(report.to_json()))
-    return 0 if report.ok else 1
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,11 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file", help="source file, or - for stdin")
     sp.set_defaults(fn=_cmd_parse)
 
-    def add_machine_opts(sp, prelude=True):
+    def add_machine_opts(sp):
         sp.add_argument("--machine", required=True, choices=harness.MACHINES)
-        sp.add_argument("--fuel", type=int, default=1000)
-        if prelude:
-            sp.add_argument("--prelude", action="store_true", help="enable cons/car/cdr")
+        sp.add_argument("--fuel", type=_at_least(0), default=1000)
+        sp.add_argument("--prelude", action="store_true", help="enable cons/car/cdr")
         sp.add_argument("file", help="source file, or - for stdin")
 
     sp = sub.add_parser("eval", help="evaluate a closed term")
@@ -140,31 +135,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("diff", help="differential test over a random corpus")
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--max-size", type=int, default=25)
-    sp.add_argument("--fuel", type=int, default=2000)
-    sp.set_defaults(fn=_cmd_diff)
+    sp.add_argument("--count", type=_at_least(1), default=100)
+    sp.add_argument("--max-size", type=_at_least(1), default=25)
+    sp.add_argument("--fuel", type=_at_least(0), default=2000)
+    sp.set_defaults(fn=_report(lambda a: harness.run_diff(a.seed, a.count, a.max_size, a.fuel)))
 
     sp = sub.add_parser("check-sim", help="per-step machine correspondence check")
     sp.add_argument("--pair", required=True, choices=harness.SIM_PAIRS)
-    sp.add_argument("--fuel", type=int, default=1000)
+    sp.add_argument("--fuel", type=_at_least(0), default=1000)
     sp.add_argument("file", help="source file, or - for stdin")
-    sp.set_defaults(fn=_cmd_check_sim)
+    sp.set_defaults(
+        fn=_report(lambda a: harness.check_simulation(_load_term(a), a.pair, a.fuel))
+    )
 
     sp = sub.add_parser("check-ud", help="unique-decomposition audit vs the oracle")
-    sp.add_argument("--max-size", type=int, default=9)
-    sp.set_defaults(fn=_cmd_check_ud)
+    sp.add_argument("--max-size", type=_at_least(1), default=9)
+    sp.set_defaults(fn=_report(lambda a: harness.check_unique_decomposition(a.max_size)))
 
     sp = sub.add_parser("check-cr", help="desk-scale joinability audit")
-    sp.add_argument("--max-size", type=int, default=8)
-    sp.add_argument("--depth", type=int, default=10)
-    sp.set_defaults(fn=_cmd_check_cr)
+    sp.add_argument("--max-size", type=_at_least(1), default=8)
+    sp.add_argument("--depth", type=_at_least(0), default=10)
+    sp.set_defaults(fn=_report(lambda a: harness.check_confluence(a.max_size, a.depth)))
 
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # bad usage (2) or --help (0), message already printed
+        return e.code
     try:
         status = args.fn(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at exit
@@ -181,6 +181,9 @@ def main(argv=None) -> int:
         return 2
     except OpenTermError as e:
         print(f"open term: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # FILE cannot be read
+        print(f"error: {e}", file=sys.stderr)
         return 2
 
 

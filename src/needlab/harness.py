@@ -5,11 +5,16 @@ corpus: run them, record traces, compare verdicts and answer values, and
 replay machine traces through the mapping functions to confirm each
 transition is a no-op or exactly one step of the target semantics.
 
+What the harness knows of each machine is one row of ``MACHINE_TABLE``
+(evaluator, initial state, step driver, printers, comparison value) and
+of each simulation pair one row of ``SIM_TABLE``; every run steps through
+the machine's driver, which its evaluator runs in ``results.evaluate``.
+
 Traces print every state, and consecutive states share everything outside
 the contraction site.  ``run_eval`` prints through one ``PrintMemo`` per
 trace, so a node or frame printed for the previous state is not printed
-again.  af's states are the frame stack of ``af.drive`` and a contractum,
-ck's are frame tuples with shared suffixes; both print frame by frame
+again.  af's states are its driver's frame stack and a contractum, ck's
+are frame tuples with shared suffixes; both print frame by frame
 (``print_plugged``) without plugging.  ckh's labeled image reuses the
 closed heap bindings that did not change (``buildL(state, reuse)``).
 
@@ -23,41 +28,26 @@ required to match exactly up to alpha.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import af, ck, ckh, lstep, need
-from .frames import ArgF, LamF
+from .frames import ArgF
 from .gen import enumerate_closed, gen_closed
 from .oracle import decomposition_matches, enumerate_decompositions
-from .results import Done
+from .results import Done, start
 from .syntax import PrintMemo, print_plugged, print_term
 from .terms import (
     HOLE,
-    Lam,
     NameSupply,
-    OpenTermError,
     Term,
     alpha_eq,
     canon,
     erase,
-    hygienize,
-    is_closed,
     strip_value_labels,
     subst,
 )
-
-MACHINES = ("need-sr", "af", "af-mod", "name", "ck", "ckh", "lstep")
-
-#: Machines whose Done values must agree structurally.  Call-by-name is
-#: held to verdict agreement only: it substitutes unevaluated arguments,
-#: so copies under binders keep redexes that every sharing machine has
-#: already reduced, and the classical by-name equivalence is about
-#: termination, not value shape.
-VALUE_MACHINES = ("need-sr", "af", "af-mod", "ck", "ckh", "lstep")
-
-SIM_PAIRS = ("ckh-lstep", "ck-need", "ck-lstep")
 
 
 def close_answer_value(answer: Term) -> Term:
@@ -66,40 +56,10 @@ def close_answer_value(answer: Term) -> Term:
     if split is None:
         raise ValueError(f"not an answer: {print_term(answer)}")
     ctx, value = split
-    frames = ctx.frames
-    opens: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    for i, f in enumerate(frames):
-        if isinstance(f, LamF):
-            opens.append(i)
-        else:
-            pairs.append((opens.pop(), i))
-    pairs.sort()
     supply = NameSupply.for_term(answer)
-    for lam_at, arg_at in pairs:
-        value = subst(value, frames[lam_at].binder, frames[arg_at].term, supply)
+    for _, p in reversed(need.partitions(ctx)):  # innermost binder first
+        value = subst(value, p.binder, p.argument, supply)
     return value
-
-
-def _eval_fn(machine: str) -> Callable:
-    return {
-        "need-sr": need.eval_sr,
-        "af": af.eval_af,
-        "af-mod": af.eval_afmod,
-        "name": af.eval_name,
-        "ck": ck.eval_ck,
-        "ckh": ckh.eval_ckh,
-        "lstep": lstep.eval_lstep,
-    }[machine]
-
-
-def answer_value(machine: str, result: Done) -> Term:
-    """Closed pure value for cross-machine comparison."""
-    if machine in ("need-sr", "af", "af-mod", "ck"):
-        return close_answer_value(result.answer)
-    if machine in ("ckh", "lstep"):
-        return erase(result.answer)
-    return result.answer  # call-by-name values are already closed
 
 
 @dataclass
@@ -156,96 +116,105 @@ def _render_ckh(
     return f"<{print_term(state.control, memo)} | ({', '.join(frames)}) | {{{', '.join(heap)}}}>"
 
 
-def _step_sr(u: Term, supply: NameSupply):
-    # steps preserve closedness, so the search runs without decompose's check
-    d = need._search(u, strict=True)
-    if isinstance(d, need.Answer):
-        return None
-    return "beta-need", need.contract(d, supply)
+def _print_terms(memo: PrintMemo):
+    return partial(print_term, memo=memo), None
 
 
-def _step_name(u: Term, supply: NameSupply):
-    if isinstance(u, Lam):
-        return None
-    return "beta", af.step_name(u, supply)
+def _print_af(memo: PrintMemo):
+    return (lambda s: print_plugged(s[0][::-1], s[1], memo)), None
 
 
-def _step_lstep(u: Term, supply: NameSupply):
-    if lstep.is_labeled_value(u):
-        return None
-    return "beta-step", lstep.step_lstep(u, supply, check=False)
+def _print_ck(memo: PrintMemo):
+    def render(s):
+        return f"<{print_term(s.control, memo)} | {print_plugged(s.frames, HOLE, memo)}>"
+
+    return render, lambda s: print_plugged(s.frames, s.control, memo)
 
 
-def _transitions(
-    machine: str, state, supply: NameSupply
-) -> Iterator[tuple[Optional[str], object]]:
-    """One machine's run from state: (rule, next state) per step, then
-    (None, final state).  af's states are (stack, term) pairs, the term
-    plugged into the outermost-first stack that ``af.drive`` keeps; the
-    stack changes when the next step is asked for."""
-    if machine in ("af", "af-mod"):
-        _, control = state  # af.drive starts from an empty stack
-        for rule, stack, sub in af.drive(control, machine == "af-mod", supply):
-            yield rule, (stack, sub)
-        return
-    step = {
-        "need-sr": _step_sr,
-        "name": _step_name,
-        "lstep": _step_lstep,
-        "ck": ck.step_ck,
-        "ckh": ckh.step_ckh,
-    }[machine]
-    while True:
-        r = step(state, supply)
-        if r is None:
-            yield None, state
-            return
-        yield r
-        state = r[1]
+def _print_ckh(memo: PrintMemo):
+    reuse: dict = {}
+
+    def mapped(s):
+        return print_term(ckh.buildL(s, reuse), memo)
+
+    return partial(_render_ckh, cache={}, memo=memo), mapped
+
+
+def _same(t):
+    return t
+
+
+def _closed(r: Done) -> Term:
+    return close_answer_value(r.answer)
+
+
+def _erased(r: Done) -> Term:
+    return erase(r.answer)
+
+
+def _answer(r: Done) -> Term:
+    return r.answer  # call-by-name values are already closed
+
+
+@dataclass(frozen=True)
+class Machine:
+    """How the harness runs one machine: eval(t, fuel) is its evaluator;
+    drive(inject(t), supply) yields (rule, state) per step from a closed
+    hygienic t, then (None, final state); printers(memo) gives one trace's
+    state printer and the printer of the state's term, or None; value(done)
+    is the closed pure value answers are compared by.  Fields reach the
+    package's functions through their modules at call time, so wrappers
+    installed on those functions see the calls."""
+
+    eval: Callable
+    inject: Callable
+    drive: Callable
+    printers: Callable
+    value: Callable
+
+
+MACHINE_TABLE = {
+    "need-sr": Machine(lambda t, f: need.eval_sr(t, f), _same, need.drive, _print_terms, _closed),
+    "af": Machine(lambda t, f: af.eval_af(t, f), af.inject, af.drive_af, _print_af, _closed),
+    "af-mod": Machine(
+        lambda t, f: af.eval_afmod(t, f), af.inject, af.drive_afmod, _print_af, _closed
+    ),
+    "name": Machine(lambda t, f: af.eval_name(t, f), _same, af.drive_name, _print_terms, _answer),
+    "ck": Machine(lambda t, f: ck.eval_ck(t, f), ck.inject_ck, ck.drive, _print_ck, _closed),
+    "ckh": Machine(
+        lambda t, f: ckh.eval_ckh(t, f), ckh.inject_ckh, ckh.drive, _print_ckh, _erased
+    ),
+    "lstep": Machine(
+        lambda t, f: lstep.eval_lstep(t, f), _same, lstep.drive, _print_terms, _erased
+    ),
+}
+MACHINES = tuple(MACHINE_TABLE)
+
+#: Machines whose Done values must agree structurally.  Call-by-name is
+#: held to verdict agreement only: it substitutes unevaluated arguments,
+#: so copies under binders keep redexes that every sharing machine has
+#: already reduced, and the classical by-name equivalence is about
+#: termination, not value shape.
+VALUE_MACHINES = ("need-sr", "af", "af-mod", "ck", "ckh", "lstep")
+
+
+def answer_value(machine: str, result: Done) -> Term:
+    """Closed pure value for cross-machine comparison."""
+    return MACHINE_TABLE[machine].value(result)
 
 
 def run_eval(t: Term, machine: str, fuel: int) -> Trace:
     """Full deterministic trace of one evaluator on one closed term."""
-    if machine not in MACHINES:
+    row = MACHINE_TABLE.get(machine)
+    if row is None:
         raise ValueError(f"unknown machine {machine!r}")
-    if not is_closed(t):
-        raise OpenTermError("run_eval requires a closed term")
-    if fuel < 0:
-        raise ValueError("fuel must be >= 0")
-    supply = NameSupply.for_term(t)
-    t = hygienize(t, supply)
+    state, supply = start(t, fuel, row.inject)
     memo = PrintMemo()
-    # a state prints as render(state); ck and ckh states also map to a
-    # term, printed by mapped(state)
-    mapped: Optional[Callable] = None
-    if machine == "ck":
-        state = ck.inject_ck(t)
-
-        def render(s):
-            return f"<{print_term(s.control, memo)} | {print_plugged(s.frames, HOLE, memo)}>"
-
-        def mapped(s):
-            return print_plugged(s.frames, s.control, memo)
-
-    elif machine == "ckh":
-        state, reuse = ckh.inject_ckh(t), {}
-        render = partial(_render_ckh, cache={}, memo=memo)
-
-        def mapped(s):
-            return print_term(ckh.buildL(s, reuse), memo)
-
-    elif machine in ("af", "af-mod"):
-        state = ([], t)
-
-        def render(s):
-            return print_plugged(s[0][::-1], s[1], memo)
-
-    else:
-        state, render = t, partial(print_term, memo=memo)
+    render, mapped = row.printers(memo)
     initial = render(state)
     steps: list[TraceStep] = []
     verdict, answer = "timeout", None
-    for rule, state in _transitions(machine, state, supply):
+    for rule, state in row.drive(state, supply):
         memo.next_state()
         if rule is None:
             verdict = "done"
@@ -257,8 +226,15 @@ def run_eval(t: Term, machine: str, fuel: int) -> Trace:
     return Trace(machine, fuel, initial, steps, verdict, answer)
 
 
+class _Report:
+    """A report dataclass whose JSON is its fields and its verdict."""
+
+    def to_json(self) -> dict:
+        return {**asdict(self), "ok": self.ok}
+
+
 @dataclass
-class SimReport:
+class SimReport(_Report):
     pair: str
     term: str
     fuel: int
@@ -271,78 +247,70 @@ class SimReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> dict:
-        return {
-            "pair": self.pair,
-            "term": self.term,
-            "fuel": self.fuel,
-            "transitions": self.transitions,
-            "completed": self.completed,
-            "rule_counts": dict(sorted(self.rule_counts.items())),
-            "violations": self.violations,
-            "ok": self.ok,
-        }
+
+@dataclass(frozen=True)
+class SimPair:
+    """A source machine, the rules that must be exactly one step of the
+    target semantics (every other rule must be a no-op), the image of a
+    source state in the target, and the target's single step (None on a
+    final term)."""
+
+    source: str
+    step_rules: frozenset
+    image: Callable
+    one_step: Callable
+
+
+def _lstep_one_step(m: Term) -> Optional[Term]:
+    r = lstep.step_lstep(m, check=False)
+    return None if r is None else strip_value_labels(r)
+
+
+SIM_TABLE = {
+    "ckh-lstep": SimPair(
+        "ckh",
+        frozenset({"descend-lam"}),
+        lambda s: strip_value_labels(ckh.buildL(s)),
+        _lstep_one_step,
+    ),
+    "ck-need": SimPair(
+        "ck", frozenset({"beta-need-ck"}), lambda s: ck.build(s), lambda m: need.step_sr(m)
+    ),
+    "ck-lstep": SimPair(
+        "ck",
+        frozenset({"descend-lam"}),
+        lambda s: strip_value_labels(ck.build_step_term(s, NameSupply.for_term(ck.build(s)))),
+        _lstep_one_step,
+    ),
+}
+
+SIM_PAIRS = tuple(SIM_TABLE)
 
 
 def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
     """Replay one machine trace through a mapping function and classify
     every transition as a no-op or exactly one step of the target."""
-    if pair not in SIM_PAIRS:
+    row = SIM_TABLE.get(pair)
+    if row is None:
         raise ValueError(f"unknown pair {pair!r}; choose from {SIM_PAIRS}")
-    if not is_closed(t):
-        raise OpenTermError("check_simulation requires a closed term")
-    supply = NameSupply.for_term(t)
-    base = hygienize(t, supply)
-
-    if pair == "ck-need":
-        inject, step = ck.inject_ck, ck.step_ck
-        step_rules = {"beta-need-ck"}
-
-        def image(s):
-            return ck.build(s)
-
-        def one_step(m):
-            return need.step_sr(m)
-
-    elif pair == "ck-lstep":
-        inject, step = ck.inject_ck, ck.step_ck
-        step_rules = {"descend-lam"}
-
-        def image(s):
-            return strip_value_labels(ck.build_step_term(s, NameSupply.for_term(ck.build(s))))
-
-        def one_step(m):
-            r = lstep.step_lstep(m, check=False)
-            return None if r is None else strip_value_labels(r)
-
-    else:
-        inject, step = ckh.inject_ckh, ckh.step_ckh
-        step_rules = {"descend-lam"}
-
-        def image(s):
-            return strip_value_labels(ckh.buildL(s))
-
-        def one_step(m):
-            r = lstep.step_lstep(m, check=False)
-            return None if r is None else strip_value_labels(r)
-
-    state = inject(base)
-    current_image = image(state)
+    source = MACHINE_TABLE[row.source]
+    state, supply = start(t, fuel, source.inject)
+    current_image = row.image(state)
     violations: list = []
     rule_counts: dict = {}
     transitions = 0
     completed = False
-    for _ in range(fuel):
-        r = step(state, supply)
-        if r is None:
+    for rule, state in source.drive(state, supply):
+        if rule is None:
             completed = True
             break
-        rule, nxt = r
+        if transitions == fuel:
+            break
         transitions += 1
         rule_counts[rule] = rule_counts.get(rule, 0) + 1
-        next_image = image(nxt)
-        if rule in step_rules:
-            stepped = one_step(current_image)
+        next_image = row.image(state)
+        if rule in row.step_rules:
+            stepped = row.one_step(current_image)
             ok = stepped is not None and alpha_eq(stepped, next_image)
             kind = "one step"
         else:
@@ -359,10 +327,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
                 }
             )
             break
-        state, current_image = nxt, next_image
-    else:
-        r = step(state, supply)
-        completed = r is None
+        current_image = next_image
     return SimReport(pair, print_term(t), fuel, transitions, completed, rule_counts, violations)
 
 
@@ -372,7 +337,7 @@ class DiffEntry:
     term: str
     verdicts: dict
     steps: dict
-    value: Optional[str]
+    value: Optional[str] = None
 
 
 @dataclass
@@ -391,23 +356,9 @@ class DiffReport:
 
     def to_json(self) -> dict:
         return {
-            "corpus": {
-                "seed": self.seed,
-                "count": self.count,
-                "max_size": self.max_size,
-                "fuel": self.fuel,
-            },
+            "corpus": {k: getattr(self, k) for k in ("seed", "count", "max_size", "fuel")},
             "machines": list(MACHINES),
-            "entries": [
-                {
-                    "index": e.index,
-                    "term": e.term,
-                    "verdicts": e.verdicts,
-                    "steps": e.steps,
-                    "value": e.value,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
             "mismatches": self.mismatches,
             "inconclusive": self.inconclusive,
             "ok": self.ok,
@@ -428,19 +379,18 @@ def run_diff(seed: int, count: int, max_size: int, fuel: int) -> DiffReport:
     report = DiffReport(seed, count, max_size, fuel)
     for i in range(count):
         t = gen_closed(seed + i, max_size)
-        results = {m: _eval_fn(m)(t, fuel) for m in MACHINES}
+        results = {m: MACHINE_TABLE[m].eval(t, fuel) for m in MACHINES}
         done = {m for m, r in results.items() if isinstance(r, Done)}
         if done and done != set(MACHINES):
             for m in MACHINES:
                 if m not in done:
-                    results[m] = _eval_fn(m)(t, fuel * 10)
+                    results[m] = MACHINE_TABLE[m].eval(t, fuel * 10)
             done = {m for m, r in results.items() if isinstance(r, Done)}
         entry = DiffEntry(
             index=i,
             term=print_term(t),
             verdicts={m: "done" if isinstance(r, Done) else "timeout" for m, r in results.items()},
             steps={m: r.steps for m, r in results.items()},
-            value=None,
         )
         if done and done != set(MACHINES):
             report.inconclusive.append(
@@ -476,7 +426,7 @@ def run_diff(seed: int, count: int, max_size: int, fuel: int) -> DiffReport:
 
 
 @dataclass
-class UDReport:
+class UDReport(_Report):
     max_size: int
     terms: int
     answers: int
@@ -486,16 +436,6 @@ class UDReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "max_size": self.max_size,
-            "terms": self.terms,
-            "answers": self.answers,
-            "redexes": self.redexes,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
 
 
 def check_unique_decomposition(max_size: int) -> UDReport:
@@ -525,7 +465,7 @@ def check_unique_decomposition(max_size: int) -> UDReport:
 
 
 @dataclass
-class CRReport:
+class CRReport(_Report):
     max_size: int
     join_depth: int
     terms: int
@@ -535,16 +475,6 @@ class CRReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "max_size": self.max_size,
-            "join_depth": self.join_depth,
-            "terms": self.terms,
-            "pairs": self.pairs,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
 
 
 def check_confluence(max_size: int, join_depth: int) -> CRReport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .results import Done, Timeout
+from .results import evaluate
 from .terms import (
     App,
     Labeled,
@@ -28,8 +28,7 @@ from .terms import (
     Term,
     _rebuild,
     erase,
-    hygienize,
-    is_closed,
+    rewrite,
     subterms,
     term_eq,
 )
@@ -61,35 +60,13 @@ def is_cl(t: Term) -> bool:
 def substlab(t: Term, z: Name, s: Term) -> Term:
     """Replace the body of every z-labeled subterm with s, keeping the
     wrapper; descends under other labels, binders, and applications."""
-    ENTER, EXIT = 0, 1
-    work = [(ENTER, t)]
-    results: list[Term] = []
-    while work:
-        phase, node = work.pop()
-        if phase == ENTER:
-            if isinstance(node, Labeled) and node.label == z:
-                results.append(node if node.body is s else Labeled(z, s))
-            elif isinstance(node, (Labeled, Lam)):
-                work.append((EXIT, node))
-                work.append((ENTER, node.body))
-            elif isinstance(node, App):
-                work.append((EXIT, node))
-                work.append((ENTER, node.arg))
-                work.append((ENTER, node.fn))
-            else:
-                results.append(node)
-        else:
-            if isinstance(node, App):
-                arg = results.pop()
-                fn = results.pop()
-                results.append(node if fn is node.fn and arg is node.arg else App(fn, arg))
-            elif isinstance(node, Lam):
-                body = results.pop()
-                results.append(node if body is node.body else Lam(node.binder, body))
-            else:
-                body = results.pop()
-                results.append(node if body is node.body else Labeled(node.label, body))
-    return results[0]
+
+    def enter(node):
+        if node.label is not z and node.label != z:  # Name == is a Python-level call
+            return None
+        return node if node.body is s else Labeled(z, s)
+
+    return rewrite(t, enter)
 
 
 class _AppL:
@@ -125,7 +102,7 @@ def _subst_closed(t: Term, x: Name, s: Term) -> Term:
     def lam_fn(node, shadowed):
         return node.binder, (True if node.binder == x else shadowed)
 
-    return _rebuild(t, var_fn, lam_fn, lambda n, e: None)
+    return _rebuild(t, var_fn, lam_fn)
 
 
 def step_lstep(t: Term, supply: Optional[NameSupply] = None, check: bool = True) -> Optional[Term]:
@@ -176,26 +153,23 @@ def step_lstep(t: Term, supply: Optional[NameSupply] = None, check: bool = True)
     return substlab(whole, z, inner)
 
 
+def drive(t: Term, supply: NameSupply):
+    """Parallel steps from a closed hygienic term: ("beta-step", term) per
+    step, then (None, labeled value)."""
+    while not is_labeled_value(t):
+        t = step_lstep(t, supply, check=False)
+        yield "beta-step", t
+    yield None, t
+
+
 def eval_lstep(t: Term, fuel: int):
     """Inject an unlabeled program and iterate to a labeled value."""
-    if not is_closed(t):
-        raise OpenTermError("eval_lstep requires a closed term")
-    if fuel < 0:
-        raise ValueError("fuel must be >= 0")
-    supply = NameSupply.for_term(t)
-    t = hygienize(t, supply)
-    steps = 0
-    while True:
-        if is_labeled_value(t):
-            return Done(t, steps)
-        if steps == fuel:
-            return Timeout(steps)
-        t = step_lstep(t, supply, check=False)
-        steps += 1
+    return evaluate(t, fuel, drive)
 
 
 __all__ = [
     "NotConsistentlyLabeled",
+    "drive",
     "erase",
     "eval_lstep",
     "is_cl",

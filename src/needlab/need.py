@@ -30,7 +30,7 @@ from .frames import (
     split_inner_partial,
     split_outer_partial,
 )
-from .results import Done, Timeout
+from .results import evaluate
 from .terms import (
     App,
     Lam,
@@ -56,9 +56,6 @@ class AnswerContext:
 
     frames: Frames = ()
 
-    def plug(self, t: Term) -> Term:
-        return plug(self.frames, t)
-
     def to_term(self) -> Term:
         return context_term(self.frames)
 
@@ -67,10 +64,6 @@ class AnswerContext:
 class Answer:
     context: AnswerContext
     value: Term
-
-    @property
-    def is_answer(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +83,6 @@ class Redex:
     demand: Frames
     arg_context: Frames
     value: Term
-
-    @property
-    def is_answer(self) -> bool:
-        return False
 
     def redex_term(self) -> Term:
         body = plug(self.demand, Var(self.binder))
@@ -281,23 +270,19 @@ def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     return contract(d, supply)
 
 
+def drive(t: Term, supply: NameSupply):
+    """Standard reduction from a closed hygienic term: ("beta-need", term)
+    per step, then (None, answer).  Steps preserve closedness, so the
+    search runs without decompose's check."""
+    while not isinstance(d := _search(t, strict=True), Answer):
+        t = contract(d, supply)
+        yield "beta-need", t
+    yield None, t
+
+
 def eval_sr(t: Term, fuel: int):
     """Iterate the standard reduction at most fuel times."""
-    if not is_closed(t):
-        raise OpenTermError("eval_sr requires a closed term")
-    if fuel < 0:
-        raise ValueError("fuel must be >= 0")
-    supply = NameSupply.for_term(t)
-    t = hygienize(t, supply)
-    steps = 0
-    while True:
-        d = _search(t, strict=True)
-        if isinstance(d, Answer):
-            return Done(t, steps)
-        if steps == fuel:
-            return Timeout(steps)
-        t = contract(d, supply)
-        steps += 1
+    return evaluate(t, fuel, drive)
 
 
 @dataclass(frozen=True, eq=False)

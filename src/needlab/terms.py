@@ -75,14 +75,6 @@ class OpenTermError(ValueError):
     """Raised when an operation requires a closed term."""
 
 
-def v(name: str, index: int = 0) -> Var:
-    return Var(Name(name, index))
-
-
-def lam(name: str, body: Term, index: int = 0) -> Lam:
-    return Lam(Name(name, index), body)
-
-
 class NameSupply:
     """Monotone source of fresh names for one evaluation session.
 
@@ -198,13 +190,13 @@ def is_closed(t: Term) -> bool:
     return not free_vars(t)
 
 
-def _rebuild(t: Term, var_fn, lam_fn, labeled_fn):
+def _rebuild(t: Term, var_fn, lam_fn):
     """Generic iterative bottom-up rebuild with binder environments.
 
     var_fn(node, env) -> Term
     lam_fn(node, env) -> (new_binder, child_env) run before descending
-    labeled_fn(node, env) -> Term | None; None means descend normally.
-    Unchanged subtrees are returned as the original objects.
+    Labels are kept.  Unchanged subtrees are returned as the original
+    objects.
     """
     ENTER, EXIT = 0, 1
     work = [(ENTER, t, _NIL, None)]
@@ -223,12 +215,8 @@ def _rebuild(t: Term, var_fn, lam_fn, labeled_fn):
                 work.append((ENTER, node.arg, env, None))
                 work.append((ENTER, node.fn, env, None))
             elif isinstance(node, Labeled):
-                short = labeled_fn(node, env)
-                if short is not None:
-                    results.append(short)
-                else:
-                    work.append((EXIT, node, env, None))
-                    work.append((ENTER, node.body, env, None))
+                work.append((EXIT, node, env, None))
+                work.append((ENTER, node.body, env, None))
             else:
                 results.append(node)
         else:
@@ -266,7 +254,7 @@ def freshen(t: Term, supply: NameSupply) -> Term:
         nb = supply.fresh(node.binder.base)
         return nb, (node.binder, nb, env)
 
-    return _rebuild(t, var_fn, lam_fn, lambda n, e: None)
+    return _rebuild(t, var_fn, lam_fn)
 
 
 def _capture_avoiding(x: Name, fvs: set[Name], supply: NameSupply):
@@ -316,7 +304,7 @@ def subst(
             return freshen(s, supply)
         return node
 
-    return _rebuild(t, var_fn, _capture_avoiding(x, free_vars(s), supply), lambda n, e: None)
+    return _rebuild(t, var_fn, _capture_avoiding(x, free_vars(s), supply))
 
 
 def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Term:
@@ -335,7 +323,7 @@ def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None)
             return node if new == node.name else Var(new)
         return s if node.name == x else node
 
-    return _rebuild(t, var_fn, _capture_avoiding(x, free_vars(s), supply), lambda n, e: None)
+    return _rebuild(t, var_fn, _capture_avoiding(x, free_vars(s), supply))
 
 
 def is_hygienic(t: Term) -> bool:
@@ -369,7 +357,7 @@ def hygienize(t: Term, supply: Optional[NameSupply] = None) -> Term:
         taken.add(ny)
         return ny, (y, ny, env)
 
-    return _rebuild(t, var_fn, lam_fn, lambda n, e: None)
+    return _rebuild(t, var_fn, lam_fn)
 
 
 def canon(t: Term):
@@ -465,34 +453,53 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
     return True
 
 
+def rewrite(t: Term, enter=None, leave=None, var=None) -> Term:
+    """Env-free bottom-up rebuild; unchanged subtrees stay the same objects.
+
+    Hooks act at Labeled nodes and, optionally, at Var: enter(node) returns
+    a Term that replaces the node unvisited, or None to descend;
+    leave(node, body) rebuilds it from its rewritten body (by default
+    keeping the label); var(node) replaces a variable.
+    """
+    # a node on the work stack is entered; a 1-tuple holding it is left
+    work: list = [t]
+    push, pop = work.append, work.pop
+    results: list[Term] = []
+    emit, take = results.append, results.pop
+    while work:
+        node = pop()
+        cls = node.__class__
+        if cls is tuple:  # rebuild from the children's results
+            node = node[0]
+            last = take()
+            if node.__class__ is App:
+                fn = take()
+                emit(node if fn is node.fn and last is node.arg else App(fn, last))
+            elif node.__class__ is Lam:
+                emit(node if last is node.body else Lam(node.binder, last))
+            elif leave is not None:
+                emit(leave(node, last))
+            else:
+                emit(node if last is node.body else Labeled(node.label, last))
+        elif cls is App:
+            push((node,))
+            push(node.arg)
+            push(node.fn)
+        elif cls is Labeled and enter is not None and (short := enter(node)) is not None:
+            emit(short)
+        elif cls is Lam or cls is Labeled:
+            push((node,))
+            push(node.body)
+        elif var is not None and cls is Var:
+            emit(var(node))
+        else:
+            emit(node)
+    return results[0]
+
+
 def erase(t: Term) -> Term:
     """Drop all label wrappers."""
-    ENTER, EXIT = 0, 1
-    work = [(ENTER, t)]
-    results: list[Term] = []
-    while work:
-        phase, node = work.pop()
-        if phase == ENTER:
-            if isinstance(node, Lam):
-                work.append((EXIT, node))
-                work.append((ENTER, node.body))
-            elif isinstance(node, App):
-                work.append((EXIT, node))
-                work.append((ENTER, node.arg))
-                work.append((ENTER, node.fn))
-            elif isinstance(node, Labeled):
-                work.append((ENTER, node.body))
-            else:
-                results.append(node)
-        else:
-            if isinstance(node, Lam):
-                body = results.pop()
-                results.append(node if body is node.body else Lam(node.binder, body))
-            else:
-                arg = results.pop()
-                fn = results.pop()
-                results.append(node if fn is node.fn and arg is node.arg else App(fn, arg))
-    return results[0]
+    return rewrite(t, leave=lambda node, body: body)
 
 
 def strip_value_labels(t: Term) -> Term:
@@ -502,33 +509,10 @@ def strip_value_labels(t: Term) -> Term:
     a labeled value is applied, so quotienting by them preserves meaning;
     the per-step machine-correspondence checks compare modulo this.
     """
-    ENTER, EXIT = 0, 1
-    work = [(ENTER, t)]
-    results: list[Term] = []
-    while work:
-        phase, node = work.pop()
-        if phase == ENTER:
-            if isinstance(node, (Lam, App, Labeled)):
-                work.append((EXIT, node))
-                if isinstance(node, App):
-                    work.append((ENTER, node.arg))
-                    work.append((ENTER, node.fn))
-                else:
-                    work.append((ENTER, node.body))
-            else:
-                results.append(node)
-        else:
-            if isinstance(node, Lam):
-                body = results.pop()
-                results.append(node if body is node.body else Lam(node.binder, body))
-            elif isinstance(node, App):
-                arg = results.pop()
-                fn = results.pop()
-                results.append(node if fn is node.fn and arg is node.arg else App(fn, arg))
-            else:
-                body = results.pop()
-                if isinstance(body, Lam):
-                    results.append(body)
-                else:
-                    results.append(node if body is node.body else Labeled(node.label, body))
-    return results[0]
+
+    def leave(node, body):
+        if isinstance(body, Lam):
+            return body
+        return node if body is node.body else Labeled(node.label, body)
+
+    return rewrite(t, leave=leave)

@@ -10,10 +10,11 @@ from needlab import af, ck, ckh
 from needlab.cli import main as cli_main
 from needlab.frames import context_term, plug
 from needlab.harness import (
+    MACHINE_TABLE,
     MACHINES,
     SIM_PAIRS,
+    SIM_TABLE,
     _render_ckh,
-    _transitions,
     answer_value,
     check_confluence,
     check_simulation,
@@ -102,6 +103,19 @@ def test_check_simulation_pairs():
     assert rep.ok
 
 
+def test_check_simulation_rejects_negative_fuel():
+    for pair in SIM_PAIRS:
+        with pytest.raises(ValueError):
+            check_simulation(parse(T1), pair, -1)
+
+
+def test_machine_and_pair_tables():
+    assert tuple(MACHINE_TABLE) == MACHINES
+    assert MACHINES == ("need-sr", "af", "af-mod", "name", "ck", "ckh", "lstep")
+    assert tuple(SIM_TABLE) == SIM_PAIRS == ("ckh-lstep", "ck-need", "ck-lstep")
+    assert {SIM_TABLE[p].source for p in SIM_PAIRS} == {"ck", "ckh"}
+
+
 def test_run_diff_small_corpus():
     rep = run_diff(seed=7, count=60, max_size=12, fuel=300)
     assert rep.ok, rep.mismatches[:2]
@@ -157,6 +171,29 @@ def test_cli_parse_error(tmp_path):
     f = tmp_path / "bad.lam"
     f.write_text("(\\x.x\n")
     assert cli_main(["parse", str(f)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--machine", "af", "--fuel", "-1", "FILE"],
+        ["trace", "--machine", "af", "--fuel", "-1", "FILE"],
+        ["check-sim", "--pair", "ck-need", "--fuel", "-1", "FILE"],
+        ["diff", "--count", "0"],
+        ["check-ud", "--max-size", "-1"],
+        ["check-cr", "--depth", "-1"],
+        ["eval", "--machine", "af", "MISSING"],
+        ["parse", "MISSING"],
+    ],
+)
+def test_cli_bad_usage_exits_2(tmp_path, capsys, argv):
+    f = tmp_path / "t.lam"
+    f.write_text(T1 + "\n")
+    paths = {"FILE": str(f), "MISSING": str(tmp_path / "missing.lam")}
+    assert cli_main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err and not captured.out
 
 
 def test_cli_eval_line_matches_run_eval(tmp_path, capsys):
@@ -271,14 +308,12 @@ def test_run_eval_prints_states_as_one_shot_renderings(machine):
     terms = [gen_closed(42 + i, 25) for i in range(80)] + [LEQ]
     for i, t in enumerate(terms):
         tr = run_eval(t, machine, 400)
+        row = MACHINE_TABLE[machine]
         supply = NameSupply.for_term(t)
-        state = hygienize(t, supply)
-        state = {"ck": ck.inject_ck, "ckh": ckh.inject_ckh}.get(machine, lambda u: u)(state)
-        if machine in ("af", "af-mod"):
-            state = ([], state)
+        state = row.inject(hygienize(t, supply))
         assert tr.initial == _one_shot(machine, state)[0], i
         steps = iter(tr.steps)
-        for rule, state in _transitions(machine, state, supply):
+        for rule, state in row.drive(state, supply):
             term, mapped = _one_shot(machine, state)
             if rule is None:
                 assert (tr.verdict, tr.answer) == ("done", mapped or term), i

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from needlab import ck, ckh
+from needlab import af, ck, ckh
 from needlab.frames import ArgF, BodF, LamF, plug
 from needlab.gen import gen_closed
-from needlab.harness import MACHINES, _transitions
+from needlab.harness import MACHINE_TABLE, MACHINES
 from needlab.syntax import ParseError, PrintMemo, parse, print_plugged, print_term
 from needlab.terms import HOLE, App, Labeled, Lam, Name, NameSupply, Var, hygienize, term_eq
 
@@ -91,19 +91,14 @@ def test_parse_labeled():
 
 def _machine_terms(machine, t, fuel):
     # the whole term of each state of one machine's run
+    row = MACHINE_TABLE[machine]
     supply = NameSupply.for_term(t)
-    t = hygienize(t, supply)
-    state = {"ck": ck.inject_ck, "ckh": ckh.inject_ckh}.get(machine, lambda u: u)(t)
-    if machine in ("af", "af-mod"):
-        state = ([], t)
-    image = {
-        "af": lambda s: plug(tuple(reversed(s[0])), s[1]),
-        "af-mod": lambda s: plug(tuple(reversed(s[0])), s[1]),
-        "ck": ck.build,
-        "ckh": ckh.buildL,
-    }.get(machine, lambda s: s)
+    state = row.inject(hygienize(t, supply))
+    image = {"af": af.build, "af-mod": af.build, "ck": ck.build, "ckh": ckh.buildL}.get(
+        machine, lambda s: s
+    )
     out = [image(state)]
-    for rule, state in _transitions(machine, state, supply):
+    for rule, state in row.drive(state, supply):
         out.append(image(state))
         if rule is None or len(out) > fuel:
             return out

@@ -1,15 +1,21 @@
+from needlab.gen import gen_closed
+from needlab.lstep import substlab
 from needlab.syntax import parse
 from needlab.terms import (
+    App,
+    Labeled,
     Lam,
     Name,
     NameSupply,
     Var,
     alpha_eq,
+    erase,
     free_vars,
     freshen,
     hygienize,
     is_closed,
     is_hygienic,
+    strip_value_labels,
     subst,
     subst_shared,
     term_eq,
@@ -124,3 +130,25 @@ def test_name_supply_monotone():
 def test_term_size():
     assert term_size(parse(r"\x.x")) == 2
     assert term_size(parse(r"\x.x x")) == 4
+
+
+def test_label_walks_return_unchanged_input_itself():
+    # erase, strip_value_labels and substlab share one rebuild that keeps
+    # unchanged subtrees as the same objects; PrintMemo and buildL(s, reuse)
+    # match nodes by identity
+    z, s = Name("z", 9), parse(r"\q.q")
+    for i in range(50):
+        t = gen_closed(42 + i, 25)
+        assert erase(t) is t
+        assert strip_value_labels(t) is t
+        assert substlab(t, z, s) is t
+    # labels around non-values only, and none named z
+    t = parse(r"\v.l%3:(v v) (k%4:(v) (\a.a))")
+    assert strip_value_labels(t) is t
+    assert substlab(t, z, s) is t
+    once = substlab(t, Name("l", 3), s)
+    assert once is not t and substlab(once, Name("l", 3), s) is once
+    # a changed node is rebuilt, its unchanged siblings are kept
+    pure = parse(r"\b.b")
+    erased = erase(App(Labeled(Name("l", 1), parse(r"\a.a")), pure))
+    assert erased.arg is pure and term_eq(erased.fn, parse(r"\a.a"))
