@@ -29,7 +29,6 @@ from .terms import (
     _rebuild,
     erase,
     rewrite,
-    subterms,
     term_eq,
 )
 
@@ -45,14 +44,33 @@ def is_labeled_value(t: Term) -> bool:
 
 
 def is_cl(t: Term) -> bool:
-    """Consistent labeling: equal labels imply structurally equal bodies."""
+    """Consistent labeling: equal labels imply structurally equal bodies.
+
+    A label's body is walked only where the label is first met; every later
+    occurrence is compared with that body (`is`, else term_eq) and not
+    walked again.  Skipping is sound: a body object already on the walk is
+    covered, and two term_eq bodies hold the same labels over term_eq
+    bodies, so any conflict inside a skipped body also sits inside the
+    first one.
+    """
     bodies: dict[Name, Term] = {}
-    for node in subterms(t):
-        if isinstance(node, Labeled):
+    stack = [t]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = pop()
+        cls = node.__class__
+        if cls is App:
+            push(node.arg)
+            push(node.fn)
+        elif cls is Lam:
+            push(node.body)
+        elif cls is Labeled:
+            body = node.body
             prev = bodies.get(node.label)
             if prev is None:
-                bodies[node.label] = node.body
-            elif prev is not node.body and not term_eq(prev, node.body):
+                bodies[node.label] = body
+                push(body)
+            elif prev is not body and not term_eq(prev, body):
                 return False
     return True
 
@@ -62,7 +80,7 @@ def substlab(t: Term, z: Name, s: Term) -> Term:
     wrapper; descends under other labels, binders, and applications."""
 
     def enter(node):
-        if node.label is not z and node.label != z:  # Name == is a Python-level call
+        if node.label != z:
             return None
         return node if node.body is s else Labeled(z, s)
 

@@ -264,7 +264,7 @@ def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     if not is_closed(t):
         raise OpenTermError("step_sr requires a closed term")
     t = hygienize(t, supply)
-    d = decompose(t)
+    d = _search(t, strict=True)  # decompose would re-check closedness
     if isinstance(d, Answer):
         return None
     return contract(d, supply)

@@ -15,11 +15,12 @@ recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
-@dataclass(frozen=True, slots=True)
-class Name:
+# A tuple, so hashing and equality run in C: names key every environment,
+# label table and heap.
+class Name(NamedTuple):
     base: str
     index: int = 0
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needlab.gen import gen_closed
 from needlab.lstep import (
@@ -21,6 +23,7 @@ from needlab.terms import (
     Var,
     alpha_eq,
     hygienize,
+    rewrite,
     subterms,
     term_eq,
 )
@@ -38,13 +41,88 @@ def I(v="a"):
     return parse(rf"\{v}.{v}")
 
 
+def is_cl_reference(t):
+    """The whole-tree walk is_cl replaced: every labeled node is visited,
+    shared or repeated bodies included."""
+    bodies = {}
+    for node in subterms(t):
+        if isinstance(node, Labeled):
+            prev = bodies.get(node.label)
+            if prev is None:
+                bodies[node.label] = node.body
+            elif prev is not node.body and not term_eq(prev, node.body):
+                return False
+    return True
+
+
 def test_is_cl():
     shared = App(I(), I("b"))
     t = App(lab(L, shared), lab(L, shared))
     assert is_cl(t)
-    t_bad = App(lab(L, I()), lab(L, App(I(), I())))
-    assert not is_cl(t_bad)
     assert is_cl(parse(r"(\x.x x) (\y.y)"))  # unlabeled, vacuous
+    M = Name("m", 1)
+    conflict = App(lab(M, I("a")), lab(M, I("b")))
+    bad = [
+        App(lab(L, I()), lab(L, App(I(), I()))),
+        # the only conflict is m's, and its first m sits under l, which repeats
+        parse(r"l:(m:(\a.a)) l:(m:(\a.a)) m:(\b.b)"),
+        # the conflict sits inside one body object that two parents share
+        App(lab(L, conflict), lab(L, conflict)),
+        App(lab(L, conflict), lab(L2, conflict)),
+        # the conflicting l sits inside the body of another label
+        parse(r"l:(x) m:(l:(y))"),
+    ]
+    for t_bad in bad:
+        assert not is_cl(t_bad)
+        assert not is_cl_reference(t_bad)
+
+
+def replace_nth_label_body(t, n, body):
+    """t with the body of its n-th labeled node (preorder) replaced."""
+    seen = [0]
+
+    def enter(node):
+        seen[0] += 1
+        return Labeled(node.label, body) if seen[0] == n + 1 else None
+
+    return rewrite(t, enter)
+
+
+def lstep_states(t, steps):
+    u = hygienize(t)
+    sup = NameSupply.for_term(u)
+    yield u
+    for _ in range(steps):
+        if is_labeled_value(u):
+            return
+        u = step_lstep(u, sup, check=False)
+        yield u
+
+
+def check_states_and_relabelings(t, steps):
+    """is_cl and the reference agree on each state of t's lstep trace and,
+    where the state carries labels, on that state with one labeled body
+    swapped for a foreign one."""
+    foreign = parse(r"\q.q q")
+    for i, u in enumerate(lstep_states(t, steps)):
+        assert is_cl(u) and is_cl_reference(u)
+        labeled = sum(isinstance(n, Labeled) for n in subterms(u))
+        if labeled > 1:
+            v = replace_nth_label_body(u, i % labeled, foreign)
+            assert is_cl(v) == is_cl_reference(v)
+
+
+def test_is_cl_agrees_with_reference_on_corpus_traces():
+    # the acceptance corpus prefix; 74 and 249 are its divergent witnesses,
+    # whose states pile up repeated and nested labels
+    for i in [*range(100), 249]:
+        check_states_and_relabelings(gen_closed(42 + i, 25), 300)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=25))
+@settings(max_examples=120, deadline=None)
+def test_is_cl_agrees_with_reference_on_random_traces(seed, size):
+    check_states_and_relabelings(gen_closed(seed, size), 60)
 
 
 def test_erase():

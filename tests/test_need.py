@@ -1,5 +1,6 @@
 import pytest
 
+import needlab.terms as terms
 from needlab.frames import ArgF, LamF, context_term, is_answer_frames
 from needlab.need import (
     Answer,
@@ -114,6 +115,18 @@ def test_step_sr():
     assert alpha_eq(step_sr(parse(T1_SRC)), parse(LINE2))
     assert step_sr(K_omega()) is None
     assert alpha_eq(step_sr(parse(LINE4)), parse(r"(\y.y) (\x.x)"))
+
+
+def test_step_sr_walks_free_vars_three_times(monkeypatch):
+    # one closedness check, one hygiene check and subst's walk of the value;
+    # the search no longer goes through decompose's second closedness check
+    t = hygienize(parse(LINE4))
+    assert is_hygienic(t)
+    calls = []
+    real = terms.free_vars
+    monkeypatch.setattr(terms, "free_vars", lambda u: calls.append(u) or real(u))
+    assert alpha_eq(step_sr(t), parse(r"(\y.y) (\x.x)"))
+    assert len(calls) == 3
 
 
 def test_eval_sr():

@@ -1,3 +1,5 @@
+import pytest
+
 from needlab.gen import gen_closed
 from needlab.lstep import substlab
 from needlab.syntax import parse
@@ -26,6 +28,19 @@ from needlab.terms import (
 def test_name_rendering():
     assert str(Name("x")) == "x"
     assert str(Name("x", 3)) == "x%3"
+    assert f"{Name('x', 3)}" == "x%3"
+    assert repr(Name("x", 3)) == "Name(base='x', index=3)"
+
+
+def test_name_value_semantics():
+    n = Name("x")
+    assert n == Name("x", 0) and hash(n) == hash(Name("x", 0))
+    assert n != Name("x", 1) and n != Name("y")
+    assert len({Name("x"), Name("x", 0), Name("x", 1)}) == 2
+    with pytest.raises(AttributeError):
+        n.base = "y"
+    with pytest.raises(AttributeError):
+        n.index = 1
 
 
 def test_free_vars():
