@@ -32,29 +32,56 @@ def _enum_db(size: int, depth: int) -> tuple:
     return tuple(out)
 
 
-def _name_db(structure) -> Term:
-    counter = [0]
+#: Work-stack markers of _name_db: rebuild a Lam or an App from the results.
+_LEAVE_LAM, _LEAVE_APP = ("L",), ("A",)
 
-    def build(node, env):
+
+def _name_db(structure, names: list[Name], occurrences: list[Var]) -> Term:
+    """The named term of a de Bruijn structure: the i-th binder in preorder
+    is names[i], and each of its occurrences is the node occurrences[i].
+
+    One explicit-stack pass; env holds the numbers of the binders in scope,
+    innermost last, and grows and shrinks with the walk.
+    """
+    env: list[int] = []
+    results: list[Term] = []
+    emit = results.append
+    work = [structure]
+    push, pop = work.append, work.pop
+    count = 0
+    while work:
+        node = pop()
         kind = node[0]
         if kind == "v":
-            return Var(env[-(node[1] + 1)])
-        if kind == "l":
-            name = Name(f"x{counter[0]}")
-            counter[0] += 1
-            return Lam(name, build(node[1], env + [name]))
-        return App(build(node[1], env), build(node[2], env))
-
-    return build(structure, [])
+            emit(occurrences[env[-1 - node[1]]])
+        elif kind == "a":
+            push(_LEAVE_APP)
+            push(node[2])
+            push(node[1])
+        elif kind == "l":
+            env.append(count)
+            count += 1
+            push(_LEAVE_LAM)
+            push(node[1])
+        elif node is _LEAVE_APP:
+            arg = results.pop()
+            results[-1] = App(results[-1], arg)
+        else:
+            results[-1] = Lam(names[env.pop()], results[-1])
+    return results[0]
 
 
 def enumerate_closed(max_size: int) -> Iterator[Term]:
     """Every closed term with at most max_size nodes, one per alpha-class."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
+    # Minted once per call and shared by the terms it yields (terms are
+    # immutable); a closed term has fewer binders than nodes.
+    names = [Name(f"x{i}") for i in range(max_size)]
+    occurrences = [Var(name) for name in names]
     for size in range(1, max_size + 1):
         for structure in _enum_db(size, 0):
-            yield _name_db(structure)
+            yield _name_db(structure, names, occurrences)
 
 
 def count_closed(max_size: int) -> int:

@@ -251,14 +251,24 @@ class SimReport(_Report):
 @dataclass(frozen=True)
 class SimPair:
     """A source machine, the rules that must be exactly one step of the
-    target semantics (every other rule must be a no-op), the image of a
-    source state in the target, and the target's single step (None on a
-    final term)."""
+    target semantics (every other rule must be a no-op), the image
+    image(state, supply) of a source state in the target given the run's
+    name supply, and the target's single step (None on a final term)."""
 
     source: str
     step_rules: frozenset
     image: Callable
     one_step: Callable
+
+
+def _ck_lstep_image(s: ck.CKState, supply: NameSupply) -> Term:
+    """The labeled image of a CK state, its labels minted from a fork of
+    the run's supply.  The run's supply was seeded above every name of the
+    input, and every name a state holds is either one of those or one the
+    supply minted, so the fork's names are fresh for the state without
+    plugging and walking it.  The fork leaves the run's own counter where
+    it was."""
+    return strip_value_labels(ck.build_step_term(s, supply.fork()))
 
 
 def _lstep_one_step(m: Term) -> Optional[Term]:
@@ -270,18 +280,16 @@ SIM_TABLE = {
     "ckh-lstep": SimPair(
         "ckh",
         frozenset({"descend-lam"}),
-        lambda s: strip_value_labels(ckh.buildL(s)),
+        lambda s, supply: strip_value_labels(ckh.buildL(s)),
         _lstep_one_step,
     ),
     "ck-need": SimPair(
-        "ck", frozenset({"beta-need-ck"}), lambda s: ck.build(s), lambda m: need.step_sr(m)
-    ),
-    "ck-lstep": SimPair(
         "ck",
-        frozenset({"descend-lam"}),
-        lambda s: strip_value_labels(ck.build_step_term(s, NameSupply.for_term(ck.build(s)))),
-        _lstep_one_step,
+        frozenset({"beta-need-ck"}),
+        lambda s, supply: ck.build(s),
+        lambda m: need.step_sr(m),
     ),
+    "ck-lstep": SimPair("ck", frozenset({"descend-lam"}), _ck_lstep_image, _lstep_one_step),
 }
 
 SIM_PAIRS = tuple(SIM_TABLE)
@@ -295,7 +303,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
         raise ValueError(f"unknown pair {pair!r}; choose from {SIM_PAIRS}")
     source = MACHINE_TABLE[row.source]
     state, supply = start(t, fuel, source.inject)
-    current_image = row.image(state)
+    current_image = row.image(state, supply)
     violations: list = []
     rule_counts: dict = {}
     transitions = 0
@@ -308,7 +316,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
             break
         transitions += 1
         rule_counts[rule] = rule_counts.get(rule, 0) + 1
-        next_image = row.image(state)
+        next_image = row.image(state, supply)
         if rule in row.step_rules:
             stepped = row.one_step(current_image)
             ok = stepped is not None and alpha_eq(stepped, next_image)
@@ -440,14 +448,20 @@ class UDReport(_Report):
 
 def check_unique_decomposition(max_size: int) -> UDReport:
     """Exhaustively confirm the answer/redex dichotomy against the
-    grammar-enumeration oracle on every closed term up to max_size."""
+    grammar-enumeration oracle on every closed term up to max_size.
+
+    Per term this costs one oracle enumeration (canonical keys for each
+    derivation it finds), one frame-stack search and the canonical key of
+    the search's result, which is looked up among the oracle's keys.
+    Enumerated terms are closed, so the search runs without decompose's
+    closedness walk."""
     terms = answers = redexes = 0
     failures: list = []
     for t in enumerate_closed(max_size):
         terms += 1
         ans, reds = enumerate_decompositions(t)
         total = len(ans) + len(reds)
-        d = need.decompose(t)
+        d = need._search(t, strict=True)
         if isinstance(d, need.Answer):
             answers += 1
         else:
@@ -479,7 +493,13 @@ class CRReport(_Report):
 
 def check_confluence(max_size: int, join_depth: int) -> CRReport:
     """All pairs of one-step compatible reducts must join within the
-    given depth, for every closed term up to max_size."""
+    given depth, for every closed term up to max_size.
+
+    Per term this costs one name-supply walk and one redex search at each
+    application node (need.compatible_reducts), plus a contraction and a
+    canonical form per redex found; joining a pair explores the reducts of
+    each term it reaches once per audit, through a cache keyed by
+    canonical form."""
     terms = pairs = 0
     failures: list = []
     cache: dict = {}

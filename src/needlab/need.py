@@ -378,12 +378,17 @@ def redex_at_root(t: Term) -> Optional[Redex]:
 
 
 def compatible_reducts(t: Term, supply: Optional[NameSupply] = None) -> list[Term]:
-    """All one-step contractions at any subterm position, deduped by alpha."""
+    """All one-step contractions at any subterm position, deduped by alpha.
+
+    Only applications are tried: at an abstraction the search finds an
+    answer and at a variable it fails, so neither is a redex."""
     if supply is None:
         supply = NameSupply.for_term(t)
     seen = set()
     out = []
     for path, sub in _positions(t):
+        if sub.__class__ is not App:
+            continue
         r = redex_at_root(sub)
         if r is None:
             continue

@@ -135,15 +135,20 @@ def _redex_key(outer: Frames, r: Redex):
     )
 
 
-def enumerate_decompositions(t: Term) -> tuple[list, list]:
-    """All distinct decompositions: (answer splits, redex decompositions).
+def _answer_key(frames: Frames, value: Term):
+    return canon(context_term(frames)), canon(value)
 
-    Redexes are deduped by rendering all eight components; answers by
-    rendering the context and value.
+
+def enumerate_decompositions(t: Term) -> tuple[dict, dict]:
+    """All distinct decompositions: (answer splits, redex decompositions),
+    each a dict from a decomposition's canonical key to one derivation.
+
+    Redexes are keyed by the canonical forms of all eight components;
+    answers by the context and value.
     """
     answers = {}
     for frames, value in answer_splits(t):
-        answers[(canon(context_term(frames)), canon(value))] = (frames, value)
+        answers[_answer_key(frames, value)] = (frames, value)
     redexes = {}
     for frames, sub in eval_context_holes(t):
         for r in redexes_at_root(sub):
@@ -158,15 +163,12 @@ def enumerate_decompositions(t: Term) -> tuple[list, list]:
                 value=r.value,
             )
             redexes[_redex_key(frames, full)] = full
-    return list(answers.values()), list(redexes.values())
+    return answers, redexes
 
 
-def decomposition_matches(d: NeedDecomposition, answers: list, redexes: list) -> bool:
-    """Does the search result appear in the oracle's enumeration?"""
+def decomposition_matches(d: NeedDecomposition, answers: dict, redexes: dict) -> bool:
+    """Does the search result appear in the oracle's enumeration?  Takes
+    the dicts of enumerate_decompositions; only d's own key is computed."""
     if isinstance(d, Answer):
-        key = (canon(d.context.to_term()), canon(d.value))
-        return any(
-            key == (canon(context_term(f)), canon(v)) for f, v in answers
-        )
-    key = _redex_key(d.outer, d)
-    return any(key == _redex_key(r.outer, r) for r in redexes)
+        return _answer_key(d.context.frames, d.value) in answers
+    return _redex_key(d.outer, d) in redexes

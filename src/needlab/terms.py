@@ -92,17 +92,37 @@ class NameSupply:
         self._next += 1
         return n
 
+    def fork(self) -> "NameSupply":
+        """A supply that starts at this one's counter and advances on its
+        own: its names are fresh for every name this supply has issued or
+        was seeded above."""
+        return NameSupply(self._next)
+
     @classmethod
     def for_terms(cls, terms: Iterable[Term]) -> "NameSupply":
+        """A supply above every variable, binder and label name in the terms."""
         hi = 0
-        for t in terms:
-            for node in subterms(t):
-                if isinstance(node, Var):
-                    hi = max(hi, node.name.index)
-                elif isinstance(node, Lam):
-                    hi = max(hi, node.binder.index)
-                elif isinstance(node, Labeled):
-                    hi = max(hi, node.label.index)
+        work = list(terms)
+        push, pop = work.append, work.pop
+        while work:
+            node = pop()
+            kind = node.__class__
+            if kind is App:
+                push(node.arg)
+                push(node.fn)
+                continue
+            if kind is Var:
+                index = node.name.index
+            elif kind is Lam:
+                index = node.binder.index
+                push(node.body)
+            elif kind is Labeled:
+                index = node.label.index
+                push(node.body)
+            else:  # the hole of a rendered context
+                continue
+            if index > hi:
+                hi = index
         return cls(hi + 1)
 
     @classmethod

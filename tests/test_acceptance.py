@@ -191,6 +191,18 @@ def test_criterion_7_desk_scale_confluence():
     assert ok
 
 
+def test_criterion_7b_joinability_covers_pairs():
+    # criterion 7 at size 8 has no term with two reducts; at size 10 the
+    # audit must check some pairs, so it cannot pass vacuously
+    started = time.time()
+    rep = check_confluence(10, 10)
+    ok = rep.ok and rep.pairs > 0
+    _verdict(
+        "7b", ok, f"{rep.pairs} reduct pairs joinable over {rep.terms} terms", started
+    )
+    assert ok
+
+
 def test_criterion_8_differential_suite():
     started = time.time()
     rep = run_diff(CORPUS_SEED, CORPUS_COUNT, CORPUS_MAX_SIZE, CORPUS_FUEL)

@@ -1,6 +1,35 @@
-from needlab.gen import count_closed, enumerate_closed, gen_closed
+from needlab.gen import _enum_db, count_closed, enumerate_closed, gen_closed
 from needlab.syntax import parse
-from needlab.terms import alpha_eq, canon, is_closed, is_hygienic, term_eq, term_size
+from needlab.terms import (
+    App,
+    Lam,
+    Name,
+    Var,
+    alpha_eq,
+    canon,
+    is_closed,
+    is_hygienic,
+    term_eq,
+    term_size,
+)
+
+
+def _name_db_reference(structure):
+    # the recursive naming pass enumerate_closed used before its
+    # explicit-stack one: binders x0, x1, ... in preorder
+    counter = [0]
+
+    def build(node, env):
+        kind = node[0]
+        if kind == "v":
+            return Var(env[-(node[1] + 1)])
+        if kind == "l":
+            name = Name(f"x{counter[0]}")
+            counter[0] += 1
+            return Lam(name, build(node[1], env + [name]))
+        return App(build(node[1], env), build(node[2], env))
+
+    return build(structure, [])
 
 
 def test_enumerate_small_inventory():
@@ -25,6 +54,17 @@ def test_enumerate_closed_and_unique():
         assert key not in seen, "duplicate alpha-class"
         seen.add(key)
     assert len(seen) == count_closed(6)
+
+
+def test_enumerate_names_as_the_recursive_reference():
+    structures = [s for size in range(1, 10) for s in _enum_db(size, 0)]
+    terms = list(enumerate_closed(9))
+    assert len(terms) == len(structures) == count_closed(9)
+    for structure, t in zip(structures, terms):
+        assert term_eq(t, _name_db_reference(structure))
+        assert is_closed(t) and is_hygienic(t)
+    # nothing carries over from one call to the next
+    assert all(term_eq(a, b) for a, b in zip(enumerate_closed(9), terms))
 
 
 def test_enumerate_binder_naming_is_hygienic():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import needlab
-from needlab import af, ck, ckh
+from needlab import af, ck, ckh, harness, need, oracle, terms
 from needlab.cli import main as cli_main
 from needlab.frames import context_term, plug
 from needlab.harness import (
@@ -24,10 +24,19 @@ from needlab.harness import (
     run_eval,
     to_json_str,
 )
-from needlab.gen import gen_closed
+from needlab.gen import enumerate_closed, gen_closed
 from needlab.prelude import expand_prelude
 from needlab.syntax import parse, print_term
-from needlab.terms import NameSupply, alpha_eq, hygienize, is_closed, is_hygienic
+from needlab.terms import (
+    App,
+    NameSupply,
+    alpha_eq,
+    hygienize,
+    is_closed,
+    is_hygienic,
+    strip_value_labels,
+    subterms,
+)
 
 T1 = r"((\x.(\y.\z.z y x) (\y.y)) (\x.x)) (\z.z)"
 OMEGA = r"(\d.d d) (\d.d d)"
@@ -103,6 +112,26 @@ def test_check_simulation_pairs():
     assert rep.ok
 
 
+def test_ck_lstep_image_from_the_run_supply():
+    # the image's labels come from a fork of the run's supply; the image
+    # must be the one a supply seeded from the plugged state gives
+    image = SIM_TABLE["ck-lstep"].image
+    states = 0
+    for i in range(100):
+        t = gen_closed(42 + i, 25)
+        supply = NameSupply.for_term(t)
+        state = ck.inject_ck(hygienize(t, supply))
+        for n, (rule, state) in enumerate(ck.drive(state, supply)):
+            seeded = ck.build_step_term(state, NameSupply.for_term(ck.build(state)))
+            counter = supply.fork().fresh()
+            assert alpha_eq(image(state, supply), strip_value_labels(seeded)), i
+            assert supply.fork().fresh() == counter  # the run's counter stays put
+            states += 1
+            if n == 300:
+                break
+    assert states > 500
+
+
 def test_check_simulation_rejects_negative_fuel():
     for pair in SIM_PAIRS:
         with pytest.raises(ValueError):
@@ -143,6 +172,59 @@ def test_check_confluence_small():
     rep = check_confluence(6, 8)
     assert rep.ok
     assert rep.terms > 0
+
+
+def _counting(monkeypatch, module, attr, calls):
+    real = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+
+
+def test_check_confluence_searches_applications_only(monkeypatch):
+    # at size 8 no term has two reducts, so joinable never runs and every
+    # search is compatible_reducts' own, on an enumerated term
+    calls = [0]
+    _counting(monkeypatch, need, "redex_at_root", calls)
+    rep = check_confluence(8, 10)
+    assert rep.ok and rep.pairs == 0
+    apps = sum(
+        node.__class__ is App for t in enumerate_closed(8) for node in subterms(t)
+    )
+    assert calls[0] == apps > 0
+
+
+def test_check_unique_decomposition_keys_each_result_once(monkeypatch):
+    # canon runs for the oracle's keys and for the search result's key (2
+    # components for an answer; 7 for a redex, whose binder is kept as a
+    # name), never on a stored candidate
+    calls = [0]
+    _counting(monkeypatch, oracle, "canon", calls)
+    inside = [0]
+    enumerate_real = harness.enumerate_decompositions
+
+    def enumerate_counted(t):
+        before = calls[0]
+        out = enumerate_real(t)
+        inside[0] += calls[0] - before
+        return out
+
+    monkeypatch.setattr(harness, "enumerate_decompositions", enumerate_counted)
+    rep = check_unique_decomposition(7)
+    assert rep.ok
+    assert inside[0] > 0
+    assert calls[0] - inside[0] == 2 * rep.answers + 7 * rep.redexes
+
+
+def test_check_unique_decomposition_walks_no_free_vars(monkeypatch):
+    # enumerated terms are closed by construction
+    calls = [0]
+    _counting(monkeypatch, terms, "free_vars", calls)
+    assert check_unique_decomposition(7).ok
+    assert calls[0] == 0
 
 
 def test_cli_smoke(tmp_path, capsys):

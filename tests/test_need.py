@@ -2,10 +2,13 @@ import pytest
 
 import needlab.terms as terms
 from needlab.frames import ArgF, LamF, context_term, is_answer_frames
+from needlab.gen import enumerate_closed, gen_closed
 from needlab.need import (
     Answer,
     AnswerContext,
     Redex,
+    _positions,
+    _replace_at,
     compatible_reducts,
     contract,
     decompose,
@@ -13,6 +16,7 @@ from needlab.need import (
     is_answer,
     joinable,
     partitions,
+    redex_at_root,
     step_sr,
 )
 from needlab.results import Done, Timeout
@@ -21,6 +25,7 @@ from needlab.terms import (
     App,
     Lam,
     Name,
+    NameSupply,
     OpenTermError,
     Var,
     alpha_eq,
@@ -224,6 +229,35 @@ def test_compatible_reducts():
     rs = compatible_reducts(t)
     assert len(rs) == 1
     assert alpha_eq(rs[0], parse(r"(\x.x x) (\b.b)"))
+
+
+def _compatible_reducts_reference(t):
+    # compatible_reducts as it was before it skipped non-application
+    # positions: the redex search runs at every position
+    supply = NameSupply.for_term(t)
+    seen = set()
+    out = []
+    for path, sub in _positions(t):
+        r = redex_at_root(sub)
+        if r is None:
+            continue
+        reduct = _replace_at(t, path, contract(r, supply))
+        key = canon(reduct)
+        if key not in seen:
+            seen.add(key)
+            out.append(reduct)
+    return out
+
+
+def test_compatible_reducts_match_all_positions_reference():
+    corpus = list(enumerate_closed(8)) + [gen_closed(seed, 16) for seed in range(400)]
+    found = 0
+    for t in corpus:
+        got, want = compatible_reducts(t), _compatible_reducts_reference(t)
+        assert len(got) == len(want)
+        assert all(term_eq(a, b) for a, b in zip(got, want))
+        found += len(got) > 1
+    assert found > 0  # some terms have several reducts, so order is checked
 
 
 def test_step_sr_is_a_compatible_reduct():

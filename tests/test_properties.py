@@ -1,4 +1,6 @@
 """Property suites over generated and enumerated corpora."""
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +117,24 @@ def test_uniqueness_against_oracle_exhaustive():
         answers, redexes = enumerate_decompositions(t)
         assert len(answers) + len(redexes) == 1, print_term(t)
         assert decomposition_matches(decompose(t), answers, redexes)
+
+
+def test_oracle_match_checks_the_value():
+    # a search result that differs from the oracle's only in its value
+    # must not match
+    values = parse(r"\a.a"), parse(r"\a.\b.a")
+    kinds = set()
+    for t in enumerate_closed(7):
+        answers, redexes = enumerate_decompositions(t)
+        d = decompose(t)
+        other = next(v for v in values if canon(v) != canon(d.value))
+        if isinstance(d, Answer):
+            doctored = Answer(d.context, other)
+        else:
+            doctored = replace(d, value=other)
+        assert not decomposition_matches(doctored, answers, redexes), print_term(t)
+        kinds.add(type(d))
+    assert kinds == {Answer, Redex}
 
 
 def test_partition_soundness_on_enumerated_answers():

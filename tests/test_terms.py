@@ -4,6 +4,7 @@ from needlab.gen import gen_closed
 from needlab.lstep import substlab
 from needlab.syntax import parse
 from needlab.terms import (
+    HOLE,
     App,
     Labeled,
     Lam,
@@ -140,6 +141,27 @@ def test_name_supply_monotone():
     n1, n2 = supply.fresh("x"), supply.fresh("y")
     assert n1.index > 7
     assert n2.index > n1.index
+
+
+def test_name_supply_sees_every_name_kind():
+    x, y, lab = Name("x", 3), Name("y", 5), Name("l", 9)
+    cases = [
+        (Var(x), 4),
+        (Lam(y, Var(y)), 6),
+        (Labeled(lab, Lam(x, Var(x))), 10),
+        (App(HOLE, Lam(y, App(Var(y), Labeled(lab, HOLE)))), 10),
+    ]
+    for t, expected in cases:
+        assert NameSupply.for_term(t).fresh().index == expected
+    assert NameSupply.for_terms(t for t, _ in cases[:2]).fresh().index == 6
+    assert NameSupply.for_terms(()).fresh().index == 1
+
+
+def test_name_supply_fork():
+    supply = NameSupply(4)
+    fork = supply.fork()
+    assert [fork.fresh().index, fork.fresh().index] == [4, 5]
+    assert supply.fresh().index == 4  # the fork does not advance the original
 
 
 def test_term_size():
