@@ -20,13 +20,14 @@ The redex search reuses the shared frame machinery: a BodF frame with an
 empty between-context plays the demand frame (lam x. E[x]) [] while the
 argument reduces.  The search is resumable (refocusing): a contraction
 leaves the frame stack truncated at the contraction site, and the next
-search starts from the contractum on top of it.  One driver per calculus
+search starts from the contractum on top of it.  A step only pushes new
+frame objects and cuts the stack, so the frames below its lowest cut stay
+the same objects at the same depths.  One driver per calculus
 (``drive_af``, ``drive_afmod``) keeps the stack for a whole run: the
 evaluators plug it only for the final answer (``build``), and
-``harness.run_eval`` never plugs it: it prints each step's
-term from the stack and the contractum (``syntax.print_plugged``), and the
-frames below the contraction site keep their printed pieces from the step
-before.
+``harness.run_eval`` never plugs it: a ``syntax.StackPrinter`` prints each
+step's term from the stack and the contractum, keeping the printed piece
+of every frame below the cut and printing only the frames above it.
 step_af and step_afmod remain the single-step API; they search from an
 empty stack, after checking and hygienizing the term they are given.
 """

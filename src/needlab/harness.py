@@ -12,11 +12,16 @@ the machine's driver, which its evaluator runs in ``results.evaluate``.
 
 Traces print every state, and consecutive states share everything outside
 the contraction site.  ``run_eval`` prints through one ``PrintMemo`` per
-trace, so a node or frame printed for the previous state is not printed
-again.  af's states are its driver's frame stack and a contractum, ck's
-are frame tuples with shared suffixes; both print frame by frame
-(``print_plugged``) without plugging.  ckh's labeled image reuses the
-closed heap bindings that did not change (``buildL(state, reuse)``).
+trace, so a node or frame printed for a recent state is not printed again.
+af's states are its driver's frame stack and a contractum: a
+``StackPrinter`` keeps one piece per frame and prints only the frames
+pushed since the last state.  ck's are frame tuples with shared suffixes,
+printed frame by frame (``print_plugged``) without plugging.  A ckh step
+pushes or pops one frame and names the one heap variable it changed, so
+``_CKHPrinter`` prints that frame and that heap entry, and
+``buildL(state, reuse)`` closes again only what the step changed: every
+other labeled node stays the same object, which the memo prints as stored
+text.
 
 Answer comparison works on the value component: by-need answers keep
 their binding context, so the context's bindings are substituted into the
@@ -37,7 +42,7 @@ from .frames import ArgF
 from .gen import enumerate_closed, gen_closed
 from .oracle import decomposition_matches, enumerate_decompositions
 from .results import Done, start
-from .syntax import PrintMemo, print_plugged, print_term
+from .syntax import PrintMemo, StackPrinter, print_plugged, print_term
 from .terms import (
     HOLE,
     NameSupply,
@@ -90,30 +95,54 @@ class Trace:
         }
 
 
-def _render_ckh(
-    state: ckh.CKHState, cache: Optional[dict] = None, memo: Optional[PrintMemo] = None
-) -> str:
-    """Print a store-machine state.
+class _CKHPrinter:
+    """Prints the successive states of one store-machine run.
 
-    cache maps each heap name to its last (term, printed entry) across the
-    states of one trace; an entry is printed again only when its name is
-    bound to a different term object.  memo is the trace's PrintMemo.
+    It keeps each frame's and each heap entry's text, frames outermost
+    first and entries in heap order.  The first state is printed whole.
+    After that, a step pushes or pops one frame and binds, checks out or
+    rebinds one heap name (``CKHState.changed``): that frame and that
+    entry are printed, and a rebound name moves to the end of the heap
+    in both.  memo is the trace's PrintMemo.
     """
-    if cache is None:
-        cache = {}
-    frames = []
-    for f in state.frames:
-        if isinstance(f, ArgF):
-            frames.append(f"arg({print_term(f.term, memo)})")
+
+    def __init__(self, memo: Optional[PrintMemo] = None):
+        self.memo = memo
+        self.frames: Optional[list] = None
+        self.heap: dict = {}
+
+    def _frame(self, f) -> str:
+        return f"arg({print_term(f.term, self.memo)})" if isinstance(f, ArgF) else f"var({f.name})"
+
+    def _entry(self, name, bound: Term) -> None:
+        self.heap[name] = f"{name} -> {print_term(bound, self.memo)}"
+
+    def __call__(self, state: ckh.CKHState) -> str:
+        frames = self.frames
+        if frames is None:
+            frames = self.frames = [self._frame(f) for f in reversed(state.frames)]
+            for name, bound in state.heap.items():
+                self._entry(name, bound)
         else:
-            frames.append(f"var({f.name})")
-    heap = []
-    for k, v in state.heap.items():
-        entry = cache.get(k)
-        if entry is None or entry[0] is not v:
-            entry = cache[k] = (v, f"{k} -> {print_term(v, memo)}")
-        heap.append(entry[1])
-    return f"<{print_term(state.control, memo)} | ({', '.join(frames)}) | {{{', '.join(heap)}}}>"
+            depth = len(state.frames)
+            if depth > len(frames):
+                frames.append(self._frame(state.frames[0]))
+            elif depth < len(frames):
+                frames.pop()
+            name = state.changed
+            if name in state.heap:
+                self._entry(name, state.heap[name])
+            else:
+                self.heap.pop(name, None)
+        return (
+            f"<{print_term(state.control, self.memo)} | ({', '.join(reversed(frames))})"
+            f" | {{{', '.join(self.heap.values())}}}>"
+        )
+
+
+def _render_ckh(state: ckh.CKHState) -> str:
+    """A store-machine state printed from scratch."""
+    return _CKHPrinter()(state)
 
 
 def _print_terms(memo: PrintMemo):
@@ -121,7 +150,8 @@ def _print_terms(memo: PrintMemo):
 
 
 def _print_af(memo: PrintMemo):
-    return (lambda s: print_plugged(s[0][::-1], s[1], memo)), None
+    printer = StackPrinter(memo)
+    return (lambda s: printer(*s)), None
 
 
 def _print_ck(memo: PrintMemo):
@@ -132,12 +162,12 @@ def _print_ck(memo: PrintMemo):
 
 
 def _print_ckh(memo: PrintMemo):
-    reuse: dict = {}
+    reuse = ckh.ImageCache()
 
     def mapped(s):
         return print_term(ckh.buildL(s, reuse), memo)
 
-    return partial(_render_ckh, cache={}, memo=memo), mapped
+    return _CKHPrinter(memo), mapped
 
 
 def _same(t):

@@ -17,8 +17,10 @@ labeled ones included, always parse back.
 
 Traces print one state after another, and consecutive states share most of
 their nodes.  ``print_term`` and ``print_plugged`` take an optional
-``PrintMemo`` that carries the printed text of the previous state's nodes
-and frames, so that a state costs only what changed.
+``PrintMemo`` that carries the printed text of recent states' nodes and
+frames, so that a state costs only what changed.  ``StackPrinter`` prints
+the states of one frame stack that steps cut and grow at the top, keeping
+one piece per frame.
 """
 from __future__ import annotations
 
@@ -198,8 +200,13 @@ class PrintMemo:
 
     Compound nodes map to their bare text (the parent adds parentheses) and
     (frame, level) pairs to their pieces; both are matched by identity.
-    ``next_state`` keeps only the entries the state just printed used, so
-    the memo holds one state's text.
+    cur holds the entries the state being printed used or stored, prev
+    those of earlier states.  A node that hits is looked up, not walked,
+    so the nodes inside it are not used again; they stay in prev, and a
+    later state that moves one of them elsewhere still finds its text.
+    ``next_state`` adds cur to prev while prev holds at most 1024 entries;
+    past that, prev keeps only the state just printed, so the memo holds
+    at most about one large state's text.
     """
 
     __slots__ = ("prev", "cur", "marks")
@@ -218,22 +225,12 @@ class PrintMemo:
         return text
 
     def next_state(self) -> None:
-        self.prev, self.cur = self.cur, {}
-
-    def emit(self, node, out: list, work: list) -> bool:
-        """Append the node's text to out if remembered; else mark where it
-        starts, for the _END item pushed on work to store it."""
-        text = self.cur.get(node)
-        if text is None:
-            text = self.prev.get(node)
-            if text is None:
-                self.marks.append(node)
-                self.marks.append(len(out))
-                work.append(_END)
-                return False
-            self.cur[node] = text
-        out.append(text)
-        return True
+        cur = self.cur
+        if len(self.prev) <= 1024:
+            self.prev.update(cur)
+        else:
+            self.prev = cur
+        self.cur = {}
 
 
 def print_term(t: Term, memo: PrintMemo | None = None) -> str:
@@ -245,53 +242,71 @@ def print_term(t: Term, memo: PrintMemo | None = None) -> str:
 def _print(t: Term, level: int, memo: PrintMemo | None) -> str:
     out: list[str] = []
     work: list = [(t, level)]
+    append, push, pop = out.append, work.append, work.pop
     if memo is not None:
-        emit = memo.emit
+        cur, prev, marks = memo.cur, memo.prev, memo.marks
 
-    # with a memo, nodes whose children are all variables are printed, not
-    # looked up: they print about as fast as a lookup
     while work:
-        item = work.pop()
-        if isinstance(item, str):
-            out.append(item)
+        item = pop()
+        if item.__class__ is str:
+            append(item)
             continue
         node, level = item
-        if node is HOLE:
-            out.append("[]")
-        elif isinstance(node, Var):
-            out.append(str(node.name))
-        elif isinstance(node, Lam):
-            if level > _TOP:
-                out.append("(")
-                work.append(")")
-            if memo is None or node.body.__class__ is Var or not emit(node, out, work):
-                out.append(f"\\{node.binder}.")
-                work.append((node.body, _TOP))
-        elif isinstance(node, App):
+        kind = node.__class__
+        if kind is Var:
+            append(str(node.name))
+            continue
+        # with a memo, nodes whose children are all variables are printed,
+        # not looked up: they print about as fast as a lookup
+        if kind is App:
             if level > _OPER:
-                out.append("(")
-                work.append(")")
-            if (
-                memo is None
-                or (node.fn.__class__ is Var and node.arg.__class__ is Var)
-                or not emit(node, out, work)
-            ):
-                work.append((node.arg, _ATOM))
-                work.append(" ")
-                work.append((node.fn, _OPER))
-        elif isinstance(node, Labeled):
-            if memo is None or node.body.__class__ is Var or not emit(node, out, work):
-                out.append(f"{node.label}:(")
-                work.append(")")
-                work.append((node.body, _TOP))
+                append("(")
+                push(")")
+            leaf = node.fn.__class__ is Var and node.arg.__class__ is Var
+        elif kind is Lam:
+            if level > _TOP:
+                append("(")
+                push(")")
+            leaf = node.body.__class__ is Var
+        elif kind is Labeled:
+            leaf = node.body.__class__ is Var
         elif node is _STORE:
-            start = memo.marks.pop()
+            start = marks.pop()
             text = "".join(out[start:])
             del out[start:]
-            out.append(text)
-            memo.cur[memo.marks.pop()] = text
+            append(text)
+            cur[marks.pop()] = text
+            continue
+        elif node is HOLE:
+            append("[]")
+            continue
         else:
             raise TypeError(f"cannot print {node!r}")
+        if memo is not None and not leaf:
+            # a compound node's bare text, remembered from this state or an
+            # earlier one; else mark where it starts, for _END to store it
+            text = cur.get(node)
+            if text is None:
+                text = prev.get(node)
+                if text is not None:
+                    cur[node] = text
+            if text is not None:
+                append(text)
+                continue
+            marks.append(node)
+            marks.append(len(out))
+            push(_END)
+        if kind is App:
+            push((node.arg, _ATOM))
+            push(" ")
+            push((node.fn, _OPER))
+        elif kind is Lam:
+            append(f"\\{node.binder}.")
+            push((node.body, _TOP))
+        else:
+            append(f"{node.label}:(")
+            push(")")
+            push((node.body, _TOP))
     return "".join(out)
 
 
@@ -313,6 +328,8 @@ def _context_text(frames: Frames, level: int, memo: PrintMemo | None):
         piece = None if memo is None else memo.get((f, level))
         if piece is None:
             piece = _frame_text(f, level, memo)
+            if memo is not None:
+                memo.cur[(f, level)] = piece
         left, right, level = piece
         lefts.append(left)
         rights.append(right)
@@ -337,6 +354,41 @@ def _frame_text(f, level: int, memo: PrintMemo | None):
         lefts += rights
         paren = level > _OPER
         piece = (("(" if paren else "") + "".join(lefts) + " ", ")" if paren else "", _ATOM)
-    if memo is not None:
-        memo.cur[(f, level)] = piece
     return piece
+
+
+class StackPrinter:
+    """print_plugged for the successive states of one outermost-first frame
+    stack that each step cuts and then grows at its top, as af's driver
+    keeps it.
+
+    The printer keeps one piece per frame, with the frame.  A step pushes
+    only new frame objects, so the frames below its lowest cut are the
+    ones that are still the same object at the same depth, and they keep
+    their pieces: a state prints the frames above that depth, found from
+    the top down, and its term.
+    """
+
+    __slots__ = ("memo", "frames", "lefts", "rights", "levels")
+
+    def __init__(self, memo: PrintMemo | None = None):
+        self.memo = memo
+        self.frames: list = []
+        self.lefts: list[str] = []
+        self.rights: list[str] = []
+        self.levels = [_TOP]  # the level each frame is printed at, then the hole's
+
+    def __call__(self, stack: list, t: Term) -> str:
+        frames, lefts, rights, levels = self.frames, self.lefts, self.rights, self.levels
+        kept = min(len(frames), len(stack))
+        while kept and stack[kept - 1] is not frames[kept - 1]:
+            kept -= 1
+        del frames[kept:], lefts[kept:], rights[kept:], levels[kept + 1 :]
+        level = levels[kept]
+        for f in stack[kept:]:
+            left, right, level = _frame_text(f, level, self.memo)
+            frames.append(f)
+            lefts.append(left)
+            rights.append(right)
+            levels.append(level)
+        return "".join(lefts) + _print(t, level, self.memo) + "".join(reversed(rights))

@@ -477,10 +477,10 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
 def rewrite(t: Term, enter=None, leave=None, var=None) -> Term:
     """Env-free bottom-up rebuild; unchanged subtrees stay the same objects.
 
-    Hooks act at Labeled nodes and, optionally, at Var: enter(node) returns
-    a Term that replaces the node unvisited, or None to descend;
-    leave(node, body) rebuilds it from its rewritten body (by default
-    keeping the label); var(node) replaces a variable.
+    Hooks act at Labeled nodes: enter(node) returns a Term that replaces
+    the node unvisited, or None to descend; leave(node, body) rebuilds it
+    from its rewritten body (by default keeping the label).  var maps
+    names to the terms that replace their variables.
     """
     # a node on the work stack is entered; a 1-tuple holding it is left
     work: list = [t]
@@ -512,7 +512,7 @@ def rewrite(t: Term, enter=None, leave=None, var=None) -> Term:
             push((node,))
             push(node.body)
         elif var is not None and cls is Var:
-            emit(var(node))
+            emit(var.get(node.name, node))
         else:
             emit(node)
     return results[0]

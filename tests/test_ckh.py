@@ -6,6 +6,8 @@ from needlab.ckh import (
     PUSHARG,
     UPDATEHEAP,
     CKHState,
+    ImageCache,
+    UnresolvableVariable,
     VarF,
     buildL,
     eval_ckh,
@@ -13,6 +15,7 @@ from needlab.ckh import (
     is_final,
     step_ckh,
 )
+from needlab.frames import ArgF
 from needlab.gen import gen_closed
 from needlab.lstep import is_cl, step_lstep
 from needlab.results import Done, Timeout
@@ -27,10 +30,13 @@ from needlab.terms import (
     Var,
     alpha_eq,
     erase,
+    free_vars,
     hygienize,
     strip_value_labels,
     term_eq,
 )
+
+from test_harness import LEQ
 
 OMEGA = r"(\d.d d) (\d.d d)"
 
@@ -181,21 +187,35 @@ def test_extensional_agreement_with_need():
             assert alpha_eq(answer_value("need-sr", a), answer_value("ckh", b))
 
 
+def _bad_successors(s):
+    # states one step could not reach from s, each changing one heap name:
+    # a checked-out name still bound, and a binding that reaches itself
+    # (through a binding that already references it, where there is one)
+    if not s.heap:
+        return []
+    name = next(iter(s.heap))
+    bad = [CKHState(s.control, (VarF(name),) + s.frames, s.heap, name)]
+    users = [k for k, v in s.heap.items() if k != name and name in free_vars(v)]
+    loop = Var(users[0]) if users else Var(name)
+    bad.append(CKHState(Var(name), s.frames, {**s.heap, name: App(loop, loop)}, name))
+    return bad
+
+
 def test_buildL_reuse_matches_fresh_build():
     # a%2 -> \w.x%1 stays the same heap object while x%1 is checked out,
     # evaluated and rebound by updateheap: its closed term must follow x%1
     terms = [parse(r"(\x.(\a.x a) (\w.x)) ((\y.y) (\z.z))"), parse(r"(\x.x x) ((\y.y) (\z.z))")]
-    terms += [gen_closed(42 + i, 25) for i in range(40)]
-    reused = rebound_dependency = 0
+    terms += [gen_closed(42 + i, 25) for i in range(40)] + [LEQ]
+    reused = rebound_dependency = unresolvable = 0
     for t in terms:
         sup = NameSupply.for_term(t)
         s = inject_ckh(hygienize(t, sup))
-        reuse: dict = {}
-        for _ in range(400):
-            before = {k: v[3] for k, v in reuse.items()}
+        reuse = ImageCache()
+        for n in range(400):
+            before = dict(reuse.labels)
             out = buildL(s, reuse)
             assert term_eq(out, buildL(s)), print_term(out)
-            reused += sum(reuse[k][3] is c for k, c in before.items())
+            reused += sum(reuse.labels.get(k) is node for k, node in before.items())
             r = step_ckh(s, sup)
             if r is None:
                 break
@@ -203,7 +223,48 @@ def test_buildL_reuse_matches_fresh_build():
             if rule == UPDATEHEAP:
                 name = s.frames[0].name
                 rebound_dependency += any(
-                    v[0] is s2.heap.get(k) and name in v[1] for k, v in reuse.items() if k != name
+                    e.term is s2.heap.get(k) and name in e.refs
+                    for k, e in reuse.names.items()
+                    if k != name
                 )
+            if n % 7 == 0:
+                # both paths refuse the state, and the cache still serves the run
+                for bad in _bad_successors(s):
+                    with pytest.raises(UnresolvableVariable):
+                        buildL(bad)
+                    with pytest.raises(UnresolvableVariable):
+                        buildL(bad, reuse)
+                    unresolvable += 1
             s = s2
-    assert reused > 0 and rebound_dependency > 0
+    assert reused > 0 and rebound_dependency > 0 and unresolvable > 0
+
+
+def test_step_without_supply_mints_a_name_unbound_in_the_heap():
+    # the supply is seeded from the whole state: x%1 is bound in the heap
+    # but occurs in neither the control nor the top argument
+    x1 = Name("x", 1)
+    s = CKHState(parse(r"\x.x"), (ArgF(parse(r"\w.w")), ArgF(Var(x1))), {x1: parse(r"\q.q")})
+    assert print_term(buildL(s)) == r"(\x.x) (\w.w) x%1:(\q.q)"
+    rule, s2 = step_ckh(s)
+    assert rule == DESCEND_LAM and s2.changed not in s.heap
+    assert s2.heap[x1] is s.heap[x1]
+    assert print_term(buildL(s2)) == r"x%2:(\w.w) x%1:(\q.q)"
+
+
+def test_steps_report_the_heap_name_they_change():
+    t = hygienize(parse(r"(\x.x x) ((\y.y) (\z.z))"))
+    sup = NameSupply.for_term(t)
+    s = inject_ckh(t)
+    assert s.changed is None
+    while (r := step_ckh(s, sup)) is not None:
+        rule, s2 = r
+        if rule == PUSHARG:
+            assert s2.changed is None and s2.heap == s.heap
+        else:
+            name = s2.changed
+            assert (name in s2.heap) == (rule != LOOKUPVAR)
+            assert (name in s.heap) == (rule == LOOKUPVAR)
+            assert {k: v for k, v in s.heap.items() if k != name} == {
+                k: v for k, v in s2.heap.items() if k != name
+            }
+        s = s2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -383,11 +384,20 @@ def _one_shot(machine, state):
     return print_term(state), None
 
 
+def _cut_and_grown(before: list, stack: list) -> bool:
+    # the af stack was cut below its last depth and then grew above the cut
+    kept = 0
+    while kept < min(len(before), len(stack)) and stack[kept] is before[kept]:
+        kept += 1
+    return kept < len(before) and len(stack) > kept
+
+
 @pytest.mark.parametrize("machine", MACHINES)
 def test_run_eval_prints_states_as_one_shot_renderings(machine):
     # run_eval prints each state from what changed since the last one; every
     # step must read as the state printed from scratch
     terms = [gen_closed(42 + i, 25) for i in range(80)] + [LEQ]
+    regrown = 0
     for i, t in enumerate(terms):
         tr = run_eval(t, machine, 400)
         row = MACHINE_TABLE[machine]
@@ -395,8 +405,12 @@ def test_run_eval_prints_states_as_one_shot_renderings(machine):
         state = row.inject(hygienize(t, supply))
         assert tr.initial == _one_shot(machine, state)[0], i
         steps = iter(tr.steps)
+        before = []
         for rule, state in row.drive(state, supply):
             term, mapped = _one_shot(machine, state)
+            if machine in ("af", "af-mod"):
+                regrown += _cut_and_grown(before, state[0])
+                before = list(state[0])
             if rule is None:
                 assert (tr.verdict, tr.answer) == ("done", mapped or term), i
                 break
@@ -406,6 +420,30 @@ def test_run_eval_prints_states_as_one_shot_renderings(machine):
                 break
             assert (s.rule, s.term, s.mapped) == (rule, term, mapped), (i, len(tr.steps))
     assert tr.verdict == "done"
+    # af's printer keeps the pieces of the frames below a cut: the steps that
+    # cut the stack and grow it again must have happened
+    assert regrown > 0 or machine not in ("af", "af-mod")
+
+
+# sha256 of the run_eval JSON lines of each machine on the first 80 corpus
+# terms and LEQ at fuel 400, recorded before traces printed only what a step
+# changed; one changed byte fails
+GOLDEN_TRACES = {
+    "need-sr": "6d0df0962396ef32b7d4dbacafb46ab0ced2394daa4e482908e2463f333d3a92",
+    "af": "540c99a2f52db86c5e07cf7b3bf6acf1b84c158ba7bb2005bc63cf30b1b408fb",
+    "af-mod": "79b1bc4b2528afdcf4aa2ee833261658164b80b632bf5c479dc0e83764a19e01",
+    "name": "5d31d21af4feeec2b6945153a507f670f45314f971b4c3cfb6fdd7edc0eb21bf",
+    "ck": "39f4979fd40a419a5731bd562badb9cef267e611aad2cc8800f70a9cba4c8036",
+    "ckh": "c683a4222ad4ca8fd58105af79273496fa6199e43016abea9ae7de2f1db31427",
+    "lstep": "5c1a68590542aff989ce7ce83bb5bd4b70a959a1a275af7f4cab45af49dd864c",
+}
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_run_eval_traces_are_byte_identical_to_golden(machine):
+    terms = [gen_closed(42 + i, 25) for i in range(80)] + [LEQ]
+    text = "\n".join(to_json_str(run_eval(t, machine, 400).to_json()) for t in terms)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TRACES[machine]
 
 
 def test_labeled_output_parses_back():
