@@ -8,7 +8,7 @@ functions between them and a differential-testing harness that checks
 their agreement per step and per program.
 """
 
-from .results import Done, Timeout
+from .results import Done, LabeledTermError, Timeout
 from .syntax import ParseError, parse, print_term
 from .terms import (
     HOLE,
@@ -37,6 +37,7 @@ __all__ = [
     "Done",
     "HOLE",
     "Labeled",
+    "LabeledTermError",
     "Lam",
     "Name",
     "NameSupply",

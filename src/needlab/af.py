@@ -46,8 +46,7 @@ from .terms import (
     Term,
     Var,
     freshen,
-    hygienize,
-    is_closed,
+    normalize,
     subst,
 )
 
@@ -200,12 +199,11 @@ def _resolve_value(v: Term, stack: list, modified: bool, supply: NameSupply):
 
 
 def _step_from_root(t: Term, modified: bool, supply: Optional[NameSupply]):
-    if not is_closed(t):
+    t, supply, found = normalize(t, supply)
+    if found.free:
         raise OpenTermError("a standard step requires a closed term")
-    if supply is None:
-        supply = NameSupply.for_term(t)
     stack: list = []
-    rule, new = _step(stack, hygienize(t, supply), modified, supply)
+    rule, new = _step(stack, t, modified, supply)
     return None if rule is None else (rule, build((stack, new)))
 
 

@@ -68,6 +68,8 @@ class IllFormedState(AssertionError):
 
 
 def inject_ck(t: Term) -> CKState:
+    """The initial state of a closed term.  Runs build CKState(t) directly:
+    results.start has already checked closedness."""
     if not is_closed(t):
         raise OpenTermError("inject_ck requires a closed term")
     return CKState(t, ())
@@ -210,7 +212,7 @@ def drive(s: CKState, supply: NameSupply):
 
 def eval_ck(t: Term, fuel: int):
     """Drive the transition system; the answer is the built final state."""
-    return evaluate(t, fuel, drive, build, inject_ck)
+    return evaluate(t, fuel, drive, build, CKState)
 
 
 __all__ = [

@@ -67,6 +67,8 @@ class UnresolvableVariable(AssertionError):
 
 
 def inject_ckh(t: Term) -> CKHState:
+    """The initial state of a closed term.  Runs build CKHState(t) directly:
+    results.start has already checked closedness."""
     if not is_closed(t):
         raise OpenTermError("inject_ckh requires a closed term")
     return CKHState(t, (), {})
@@ -357,4 +359,4 @@ def drive(s: CKHState, supply: NameSupply):
 
 def eval_ckh(t: Term, fuel: int):
     """Drive the store machine; the result is the closed final control."""
-    return evaluate(t, fuel, drive, buildL, inject_ckh)
+    return evaluate(t, fuel, drive, buildL, CKHState)

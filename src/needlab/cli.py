@@ -3,8 +3,9 @@
 Exit status is 0 only when the requested check reports no mismatches or
 violations; parse errors, open terms, a FILE that cannot be read and bad
 usage (including a negative fuel or depth, or a count or size below 1)
-exit 2 with a message and no traceback.  Output cut short by a
-closed pipe (``needlab trace ... | head``) exits 1 without a traceback.
+exit 2 with a message and no traceback, and so does a labeled term given
+to a machine other than lstep.  Output cut short by a closed pipe
+(``needlab trace ... | head``) exits 1 without a traceback.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ import sys
 from . import harness, need
 from .frames import context_term
 from .prelude import expand_prelude
-from .results import Done
+from .results import Done, LabeledTermError
 from .syntax import ParseError, parse, print_term
-from .terms import OpenTermError, hygienize
+from .terms import OpenTermError, normalize
 
 
 def _load_term(args):
@@ -63,7 +64,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    t = hygienize(_load_term(args))
+    t, _, found = normalize(_load_term(args))
+    if found.labeled:
+        raise LabeledTermError("the decomposition reads unlabeled terms only")
     d = need.decompose(t)
     if isinstance(d, need.Answer):
         print("answer")
@@ -181,6 +184,10 @@ def main(argv=None) -> int:
         return 2
     except OpenTermError as e:
         print(f"open term: {e}", file=sys.stderr)
+        return 2
+    except LabeledTermError as e:
+        where = getattr(args, "machine", None) or getattr(args, "pair", None) or args.command
+        print(f"labeled term: {where}: {e}", file=sys.stderr)
         return 2
     except OSError as e:  # FILE cannot be read
         print(f"error: {e}", file=sys.stderr)

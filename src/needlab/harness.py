@@ -192,15 +192,17 @@ class Machine:
     drive(inject(t), supply) yields (rule, state) per step from a closed
     hygienic t, then (None, final state); printers(memo) gives one trace's
     state printer and the printer of the state's term, or None; value(done)
-    is the closed pure value answers are compared by.  Fields reach the
-    package's functions through their modules at call time, so wrappers
-    installed on those functions see the calls."""
+    is the closed pure value answers are compared by; labels says whether
+    the machine reads labeled terms.  Fields reach the package's functions
+    through their modules at call time, so wrappers installed on those
+    functions see the calls."""
 
     eval: Callable
     inject: Callable
     drive: Callable
     printers: Callable
     value: Callable
+    labels: bool = False
 
 
 MACHINE_TABLE = {
@@ -210,12 +212,12 @@ MACHINE_TABLE = {
         lambda t, f: af.eval_afmod(t, f), af.inject, af.drive_afmod, _print_af, _closed
     ),
     "name": Machine(lambda t, f: af.eval_name(t, f), _same, af.drive_name, _print_terms, _answer),
-    "ck": Machine(lambda t, f: ck.eval_ck(t, f), ck.inject_ck, ck.drive, _print_ck, _closed),
+    "ck": Machine(lambda t, f: ck.eval_ck(t, f), ck.CKState, ck.drive, _print_ck, _closed),
     "ckh": Machine(
-        lambda t, f: ckh.eval_ckh(t, f), ckh.inject_ckh, ckh.drive, _print_ckh, _erased
+        lambda t, f: ckh.eval_ckh(t, f), ckh.CKHState, ckh.drive, _print_ckh, _erased
     ),
     "lstep": Machine(
-        lambda t, f: lstep.eval_lstep(t, f), _same, lstep.drive, _print_terms, _erased
+        lambda t, f: lstep.eval_lstep(t, f), _same, lstep.drive, _print_terms, _erased, True
     ),
 }
 MACHINES = tuple(MACHINE_TABLE)
@@ -238,7 +240,7 @@ def run_eval(t: Term, machine: str, fuel: int) -> Trace:
     row = MACHINE_TABLE.get(machine)
     if row is None:
         raise ValueError(f"unknown machine {machine!r}")
-    state, supply = start(t, fuel, row.inject)
+    state, supply = start(t, fuel, row.inject, row.labels)
     memo = PrintMemo()
     render, mapped = row.printers(memo)
     initial = render(state)
@@ -332,7 +334,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
     if row is None:
         raise ValueError(f"unknown pair {pair!r}; choose from {SIM_PAIRS}")
     source = MACHINE_TABLE[row.source]
-    state, supply = start(t, fuel, source.inject)
+    state, supply = start(t, fuel, source.inject, source.labels)
     current_image = row.image(state, supply)
     violations: list = []
     rule_counts: dict = {}

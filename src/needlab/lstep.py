@@ -181,8 +181,8 @@ def drive(t: Term, supply: NameSupply):
 
 
 def eval_lstep(t: Term, fuel: int):
-    """Inject an unlabeled program and iterate to a labeled value."""
-    return evaluate(t, fuel, drive)
+    """Iterate a closed program, labeled or not, to a labeled value."""
+    return evaluate(t, fuel, drive, labels=True)
 
 
 __all__ = [

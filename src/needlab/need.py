@@ -40,8 +40,8 @@ from .terms import (
     Term,
     Var,
     canon,
-    hygienize,
     is_closed,
+    normalize,
     subst,
 )
 
@@ -260,10 +260,11 @@ def contract(r: Redex, supply: Optional[NameSupply] = None) -> Term:
 
 
 def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
-    """One standard-reduction step; absent iff t is an answer."""
-    if not is_closed(t):
+    """One standard-reduction step; absent iff t is an answer.  Without a
+    supply, fresh names are minted above every name of t."""
+    t, supply, found = normalize(t, supply)
+    if found.free:
         raise OpenTermError("step_sr requires a closed term")
-    t = hygienize(t, supply)
     d = _search(t, strict=True)  # decompose would re-check closedness
     if isinstance(d, Answer):
         return None

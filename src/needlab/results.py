@@ -1,10 +1,21 @@
 """Evaluator outcomes shared by every semantics in the package, and the one
-loop that runs a machine to one of them."""
+loop that runs a machine to one of them.
+
+A run starts with one walk of its term (``terms.scan``, which
+``terms.normalize`` runs): from what it reads, ``start`` rejects open
+input, and labeled input on a machine that reads no labels, and seeds the
+run's name supply.  A second walk renames binders only when the term is
+not hygienic."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import NameSupply, OpenTermError, Term, hygienize, is_closed
+from .terms import NameSupply, OpenTermError, Term, normalize
+
+
+class LabeledTermError(ValueError):
+    """Raised when a machine that reads only unlabeled terms is given a
+    labeled one."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,24 +38,27 @@ def iterate(step, state, supply: NameSupply):
     yield None, state
 
 
-def start(t: Term, fuel: int, inject=None):
+def start(t: Term, fuel: int, inject=None, labels: bool = False):
     """inject(hygienized t), a machine run's initial state, and the run's
-    name supply; rejects open terms and negative fuel."""
-    if not is_closed(t):
+    name supply; rejects open terms, negative fuel and, unless the machine
+    reads labels, labeled terms."""
+    state, supply, found = normalize(t)
+    if found.free:
         raise OpenTermError("evaluation requires a closed term")
+    if found.labeled and not labels:
+        raise LabeledTermError("this machine evaluates unlabeled terms only")
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    supply = NameSupply.for_term(t)
-    state = hygienize(t, supply)
     return (state if inject is None else inject(state)), supply
 
 
-def evaluate(t: Term, fuel: int, drive, answer=None, inject=None):
+def evaluate(t: Term, fuel: int, drive, answer=None, inject=None, labels: bool = False):
     """Run one machine on a closed term for at most fuel steps: drive(state,
     supply) yields (rule, state) per step from the initial state, then
     (None, final state); the answer is answer(final state), by default the
-    final state itself."""
-    state, supply = start(t, fuel, inject)
+    final state itself.  labels says whether the machine reads labeled
+    terms."""
+    state, supply = start(t, fuel, inject, labels)
     steps = 0
     for rule, state in drive(state, supply):
         if rule is None:

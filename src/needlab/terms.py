@@ -11,6 +11,13 @@ names; every machine-minted name gets a positive index and prints as
 operations here are iterative: evaluation traces can produce terms whose
 application spines are thousands of nodes deep, well past the default
 recursion limit.
+
+Every machine run, and every one-shot step, starts from a closed term whose
+binders are pairwise distinct and disjoint from its free variables (a
+normalized term, in Launchbury's sense).  ``scan`` reads all that a start
+needs in one walk: the free variables, the highest name index, whether the
+term is hygienic and whether it carries labels; ``normalize`` adds a
+renaming walk only when the term is not hygienic.
 """
 from __future__ import annotations
 
@@ -347,26 +354,75 @@ def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None)
     return _rebuild(t, var_fn, _capture_avoiding(x, free_vars(s), supply))
 
 
+class Scan(NamedTuple):
+    """What one walk of a term reads: its free variables, the highest index
+    of any variable, binder or label name in it, whether its binders are
+    pairwise distinct and disjoint from the free variables, and whether it
+    holds a Labeled node."""
+
+    free: set
+    top: int
+    hygienic: bool
+    labeled: bool
+
+
+def scan(t: Term) -> Scan:
+    """The Scan of t, in one explicit-stack walk.  Binders are distinct iff
+    the walk meets as many abstractions as distinct binder names."""
+    free: set[Name] = set()
+    binders: set[Name] = set()
+    top, lams, labeled = 0, 0, False
+    work = [(t, None)]
+    push, pop = work.append, work.pop
+    while work:
+        node, env = pop()
+        kind = node.__class__
+        if kind is App:
+            push((node.arg, env))
+            push((node.fn, env))
+        elif kind is Var:
+            name = node.name
+            while env is not None:  # the binders in scope, innermost first
+                if env[0] == name:
+                    break
+                env = env[1]
+            else:
+                free.add(name)
+        elif kind is Lam:
+            b = node.binder
+            binders.add(b)
+            lams += 1
+            if b.index > top:
+                top = b.index
+            push((node.body, (b, env)))
+        elif kind is Labeled:
+            labeled = True
+            if node.label.index > top:
+                top = node.label.index
+            push((node.body, env))
+        # else the hole of a rendered context
+    for name in free:
+        if name.index > top:
+            top = name.index
+    hygienic = lams == len(binders) and free.isdisjoint(binders)
+    return Scan(free, top, hygienic, labeled)
+
+
 def is_hygienic(t: Term) -> bool:
     """Hygiene check: binders pairwise distinct and disjoint from fv(t)."""
-    free = free_vars(t)
-    seen: set[Name] = set()
-    for node in subterms(t):
-        if isinstance(node, Lam):
-            b = node.binder
-            if b in seen or b in free:
-                return False
-            seen.add(b)
-    return True
+    return scan(t).hygienic
 
 
-def hygienize(t: Term, supply: Optional[NameSupply] = None) -> Term:
-    """Rename binders so the whole term satisfies the hygiene condition."""
-    if is_hygienic(t):
-        return t
+def normalize(t: Term, supply: Optional[NameSupply] = None) -> tuple[Term, NameSupply, Scan]:
+    """t with its binders renamed to hygiene, the supply that minted the new
+    names (seeded above every name of t unless one is given), and t's scan.
+    A hygienic t comes back as itself, after one walk."""
+    found = scan(t)
     if supply is None:
-        supply = NameSupply.for_term(t)
-    taken = set(free_vars(t))
+        supply = NameSupply(found.top + 1)
+    if found.hygienic:
+        return t, supply, found
+    taken = set(found.free)
 
     def var_fn(node, env):
         new = _chain_lookup(env, node.name)
@@ -378,7 +434,12 @@ def hygienize(t: Term, supply: Optional[NameSupply] = None) -> Term:
         taken.add(ny)
         return ny, (y, ny, env)
 
-    return _rebuild(t, var_fn, lam_fn)
+    return _rebuild(t, var_fn, lam_fn), supply, found
+
+
+def hygienize(t: Term, supply: Optional[NameSupply] = None) -> Term:
+    """Rename binders so the whole term satisfies the hygiene condition."""
+    return normalize(t, supply)[0]
 
 
 def canon(t: Term):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import needlab
-from needlab import af, ck, ckh, harness, need, oracle, terms
+from needlab import af, ck, ckh, harness, lstep, need, oracle, terms
 from needlab.cli import main as cli_main
 from needlab.frames import context_term, plug
 from needlab.harness import (
@@ -27,6 +27,7 @@ from needlab.harness import (
 )
 from needlab.gen import enumerate_closed, gen_closed
 from needlab.prelude import expand_prelude
+from needlab.results import Done, LabeledTermError
 from needlab.syntax import parse, print_term
 from needlab.terms import (
     App,
@@ -444,6 +445,107 @@ def test_run_eval_traces_are_byte_identical_to_golden(machine):
     terms = [gen_closed(42 + i, 25) for i in range(80)] + [LEQ]
     text = "\n".join(to_json_str(run_eval(t, machine, 400).to_json()) for t in terms)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TRACES[machine]
+
+
+# sha256 of the check_simulation JSON lines of each pair on the first 80
+# corpus terms at fuel 400, recorded while the ck-need pair still seeded
+# need.step_sr's supply from the plugged term
+GOLDEN_SIMULATIONS = {
+    "ckh-lstep": "9519fcdfd334850beefec60926b53c8e5d1354719f939186311a76aa573bd5eb",
+    "ck-need": "2ce17efaf70eac481788e7a1937d43033312bd1590906123ca7484a90477df52",
+    "ck-lstep": "880dca63eff8230d75da0be34e346647368e727b0417e4033a6015927ebb403f",
+}
+
+
+@pytest.mark.parametrize("pair", SIM_PAIRS)
+def test_check_simulation_is_byte_identical_to_golden(pair):
+    terms = [gen_closed(42 + i, 25) for i in range(80)]
+    reports = [check_simulation(t, pair, 400) for t in terms]
+    assert sum(r.transitions for r in reports) > 0
+    text = "\n".join(to_json_str(r.to_json()) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SIMULATIONS[pair]
+
+
+#: Each machine's evaluator and the driver it passes to results.evaluate,
+#: by module attribute.
+EVALUATORS = {
+    "need-sr": (need, "eval_sr", "drive"),
+    "af": (af, "eval_af", "drive_af"),
+    "af-mod": (af, "eval_afmod", "drive_afmod"),
+    "name": (af, "eval_name", "drive_name"),
+    "ck": (ck, "eval_ck", "drive"),
+    "ckh": (ckh, "eval_ckh", "drive"),
+    "lstep": (lstep, "eval_lstep", "drive"),
+}
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_eval_walks_a_hygienic_term_once_before_the_first_step(monkeypatch, walks, machine):
+    # one scan checks closedness and labels and seeds the run's supply; the
+    # hygienic term is not renamed, and ck and ckh inject without checking
+    # closedness again
+    module, evaluator, driver = EVALUATORS[machine]
+    real = getattr(module, driver)
+    at_first_step = []
+
+    def drive(state, supply):
+        at_first_step.append(dict(walks))
+        yield from real(state, supply)
+
+    monkeypatch.setattr(module, driver, drive)
+    for t in [gen_closed(42 + i, 25) for i in (8, 26, 33)] + [hygienize(LEQ)]:
+        assert is_closed(t) and is_hygienic(t)
+        walks.update(dict.fromkeys(walks, 0))
+        r = getattr(module, evaluator)(t, 50)
+        assert r.steps > 0
+        assert at_first_step.pop() == {"scan": 1, "free_vars": 0, "subterms": 0, "for_terms": 0}
+
+
+LABELED = [r"l:(\x.x) (\y.y)", r"(\x.x) l:(\y.y)"]
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_eval_rejects_labeled_input_unless_the_machine_reads_labels(machine):
+    module, evaluator, _ = EVALUATORS[machine]
+    row = MACHINE_TABLE[machine]
+    assert row.labels == (machine == "lstep")
+    for source in LABELED:
+        t = parse(source)
+        if row.labels:
+            assert isinstance(getattr(module, evaluator)(t, 50), Done)
+            assert run_eval(t, machine, 50).verdict == "done"
+            continue
+        with pytest.raises(LabeledTermError):
+            getattr(module, evaluator)(t, 50)
+        with pytest.raises(LabeledTermError):
+            run_eval(t, machine, 50)
+    for pair, sim in SIM_TABLE.items():
+        if sim.source == machine:
+            with pytest.raises(LabeledTermError):
+                check_simulation(parse(LABELED[0]), pair, 50)
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_cli_rejects_labeled_input_unless_the_machine_reads_labels(tmp_path, capsys, machine):
+    f = tmp_path / "l.lam"
+    for source in LABELED:
+        f.write_text(source + "\n")
+        status = cli_main(["eval", "--machine", machine, str(f)])
+        captured = capsys.readouterr()
+        if machine == "lstep":
+            assert status == 0 and captured.out.startswith("done in 1 steps: ")
+            continue
+        assert status == 2, (machine, source)
+        assert captured.err.startswith(f"labeled term: {machine}: ") and not captured.out
+        assert "Traceback" not in captured.err
+
+
+def test_cli_decompose_rejects_labeled_input(tmp_path, capsys):
+    f = tmp_path / "l.lam"
+    f.write_text(LABELED[0] + "\n")
+    assert cli_main(["decompose", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("labeled term: decompose: ") and not captured.out
 
 
 def test_labeled_output_parses_back():

@@ -1,6 +1,5 @@
 import pytest
 
-import needlab.terms as terms
 from needlab.frames import ArgF, LamF, context_term, is_answer_frames
 from needlab.gen import enumerate_closed, gen_closed
 from needlab.need import (
@@ -122,16 +121,16 @@ def test_step_sr():
     assert alpha_eq(step_sr(parse(LINE4)), parse(r"(\y.y) (\x.x)"))
 
 
-def test_step_sr_walks_free_vars_three_times(monkeypatch):
-    # one closedness check, one hygiene check and subst's walk of the value;
-    # the search no longer goes through decompose's second closedness check
-    t = hygienize(parse(LINE4))
-    assert is_hygienic(t)
-    calls = []
-    real = terms.free_vars
-    monkeypatch.setattr(terms, "free_vars", lambda u: calls.append(u) or real(u))
-    assert alpha_eq(step_sr(t), parse(r"(\y.y) (\x.x)"))
-    assert len(calls) == 3
+def test_step_sr_walks_the_term_once(walks):
+    # one scan checks closedness and hygiene and seeds the supply, and subst
+    # walks the value it inserts; the search does not re-check closedness,
+    # and contract does not plug the term again to seed a supply.  Renaming
+    # a term that is not hygienic rebuilds it, with no further walk.
+    for t in (hygienize(parse(LINE4)), parse(LINE4)):
+        walks.update(dict.fromkeys(walks, 0))
+        assert alpha_eq(step_sr(t), parse(r"(\y.y) (\x.x)"))
+        assert walks == {"scan": 1, "free_vars": 1, "subterms": 0, "for_terms": 0}
+    assert is_hygienic(hygienize(parse(LINE4))) and not is_hygienic(parse(LINE4))
 
 
 def test_eval_sr():

@@ -1,8 +1,9 @@
 import pytest
 
-from needlab.gen import gen_closed
+from needlab.frames import ArgF, LamF, context_term
+from needlab.gen import enumerate_closed, gen_closed
 from needlab.lstep import substlab
-from needlab.syntax import parse
+from needlab.syntax import parse, print_term
 from needlab.terms import (
     HOLE,
     App,
@@ -18,9 +19,11 @@ from needlab.terms import (
     hygienize,
     is_closed,
     is_hygienic,
+    scan,
     strip_value_labels,
     subst,
     subst_shared,
+    subterms,
     term_eq,
     term_size,
 )
@@ -189,3 +192,102 @@ def test_label_walks_return_unchanged_input_itself():
     pure = parse(r"\b.b")
     erased = erase(App(Labeled(Name("l", 1), parse(r"\a.a")), pure))
     assert erased.arg is pure and term_eq(erased.fn, parse(r"\a.a"))
+
+
+def _is_hygienic_two_walks(t):
+    # the hygiene check as it was before scan: free_vars, then every binder
+    free = free_vars(t)
+    seen = set()
+    for node in subterms(t):
+        if isinstance(node, Lam):
+            b = node.binder
+            if b in seen or b in free:
+                return False
+            seen.add(b)
+    return True
+
+
+def _top_index(t):
+    # NameSupply.for_terms' maximum: every variable, binder and label name
+    hi = 0
+    for node in subterms(t):
+        if isinstance(node, Var):
+            hi = max(hi, node.name.index)
+        elif isinstance(node, Lam):
+            hi = max(hi, node.binder.index)
+        elif isinstance(node, Labeled):
+            hi = max(hi, node.label.index)
+    return hi
+
+
+def _renamed(t, rename, label=None):
+    """t with every variable and binder name mapped through rename and,
+    when label is given, every application's argument under label(i)."""
+    count = [0]
+
+    def go(u):
+        if isinstance(u, Var):
+            return Var(rename(u.name))
+        if isinstance(u, Lam):
+            return Lam(rename(u.binder), go(u.body))
+        if isinstance(u, App):
+            fn, arg = go(u.fn), go(u.arg)
+            if label is not None:
+                count[0] += 1
+                arg = Labeled(label(count[0]), arg)
+            return App(fn, arg)
+        return u
+
+    return go(t)
+
+
+def _scan_cases(t):
+    """t, its subterms (open ones among them), and copies whose names carry
+    indices, collapse onto a few (shadowing and capture), or carry labels."""
+    indexed = _renamed(t, lambda n: Name("x", int(n.base[1:]) + 1))
+    collapsed = _renamed(t, lambda n: Name("x", int(n.base[1:]) % 3))
+    labeled = _renamed(t, lambda n: n, lambda i: Name("l", 2 * i))
+    yield from subterms(t)
+    yield from subterms(indexed)
+    yield from subterms(collapsed)
+    yield labeled
+
+
+def _check_scan(t):
+    found = scan(t)
+    assert found.free == free_vars(t), print_term(t)
+    assert found.top == _top_index(t) == NameSupply.for_term(t).fresh().index - 1
+    assert found.hygienic == _is_hygienic_two_walks(t), print_term(t)
+    assert found.labeled == any(isinstance(n, Labeled) for n in subterms(t))
+
+
+def test_scan_agrees_with_the_separate_walks():
+    corpus = list(enumerate_closed(7)) + [gen_closed(seed, 25) for seed in range(200)]
+    checked = open_ = unhygienic = labeled = 0
+    for t in corpus:
+        for u in _scan_cases(t):
+            _check_scan(u)
+            found = scan(u)
+            checked += 1
+            open_ += bool(found.free)
+            unhygienic += not found.hygienic
+            labeled += found.labeled
+    assert checked > 9_000 and open_ > 5_000 and unhygienic > 300 and labeled > 300
+
+
+@pytest.mark.parametrize(
+    "t, free, top, hygienic, labeled",
+    [
+        (parse(r"(\x.x) y%2"), {Name("y", 2)}, 2, True, False),
+        (parse(r"\x.\x.x"), set(), 0, False, False),
+        (parse(r"\x.(\x%3.x%3) x"), set(), 3, True, False),
+        (parse(r"\x.(\x.x) x"), set(), 0, False, False),
+        (parse(r"(\y.y) y"), {Name("y")}, 0, False, False),
+        (parse(r"l%4:(\x.x) (\y.y)"), set(), 4, True, True),
+        (context_term((ArgF(parse(r"\z%5.z%5")), LamF(Name("y")))), set(), 5, True, False),
+    ],
+    ids=["open", "shadowed", "nested", "shadowed-then-bound", "binder-also-free", "labeled", "hole"],
+)
+def test_scan_hand_cases(t, free, top, hygienic, labeled):
+    assert scan(t) == (free, top, hygienic, labeled)
+    _check_scan(t)
