@@ -20,14 +20,17 @@ The redex search reuses the shared frame machinery: a BodF frame with an
 empty between-context plays the demand frame (lam x. E[x]) [] while the
 argument reduces.  The search is resumable (refocusing): a contraction
 leaves the frame stack truncated at the contraction site, and the next
-search starts from the contractum on top of it.  A step only pushes new
-frame objects and cuts the stack, so the frames below its lowest cut stay
-the same objects at the same depths.  One driver per calculus
-(``drive_af``, ``drive_afmod``) keeps the stack for a whole run: the
-evaluators plug it only for the final answer (``build``), and
-``harness.run_eval`` never plugs it: a ``syntax.StackPrinter`` prints each
-step's term from the stack and the contractum, keeping the printed piece
-of every frame below the cut and printing only the frames above it.
+search starts from the contractum on top of it.  A deref rewrites only
+the demanded occurrence, so it keeps the path there on the stack (with
+the call, put back when the argument was reduced under a demand frame)
+and returns the value's copy as the new control.  A step cuts the stack
+and pushes only frames the last state's stack did not hold, so the frames
+below its lowest cut stay the same objects at the same depths.  One
+driver per calculus (``drive_af``, ``drive_afmod``) keeps the stack for a
+whole run: the evaluators plug it only for the final answer (``build``),
+and ``harness.run_eval`` never plugs it: a ``syntax.StackPrinter`` prints
+each step's term from the stack and the contractum, keeping the printed
+piece of every frame below the cut and printing only the frames above it.
 step_af and step_afmod remain the single-step API; they search from an
 empty stack, after checking and hygienizing the term they are given.
 """
@@ -36,7 +39,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from .frames import ArgF, BodF, Frames, LamF, plug
+from .frames import ArgF, BodF, Frames, LamF, build, inject, plug
 from .results import evaluate
 from .terms import (
     App,
@@ -79,17 +82,6 @@ def is_af_answer(t: Term) -> bool:
     return af_answer_split(t) is not None
 
 
-def inject(t: Term) -> tuple[list, Term]:
-    """The driver's initial state: an empty frame stack and the term."""
-    return [], t
-
-
-def build(state: tuple[list, Term]) -> Term:
-    """The whole term of a driver state: its term plugged into its stack."""
-    stack, sub = state
-    return plug(tuple(reversed(stack)), sub)
-
-
 def _step(
     stack: list, control: Term, modified: bool, supply: NameSupply
 ) -> tuple[Optional[str], Term]:
@@ -101,8 +93,10 @@ def _step(
     empty between-context (the binder-adjacency the calculus maintains).
     Returns (rule, contractum) with the stack truncated in place at the
     contraction site, so that plugging the contractum into it gives the
-    whole reduct.  On an answer the rule is None, and the stack holds the
-    answer context around the returned value.
+    whole reduct.  A deref rewrites only the demanded occurrence: the stack
+    holds the path to it, with the call kept, and the contractum is the
+    fresh copy of the value.  On an answer the rule is None, and the stack
+    holds the answer context around the returned value.
     """
     while True:
         if isinstance(control, App):
@@ -124,15 +118,15 @@ def _step(
             if lam_at is None:
                 raise OpenTermError(f"demanded variable {name} is unbound")
             assert lam_at > 0 and isinstance(stack[lam_at - 1], ArgF)
-            inner = tuple(reversed(stack[lam_at + 1 :]))
             arg = stack[lam_at - 1].term
+            if is_value(arg) and not modified:
+                # deref changes only the occurrence: the path stays
+                return DEREF, freshen(arg, supply)
+            inner = tuple(reversed(stack[lam_at + 1 :]))
             del stack[lam_at - 1 :]
             if is_value(arg):
-                if modified:
-                    body = plug(inner, Var(name))
-                    return BETA_NEED_MOD, subst(body, name, arg, supply)
-                copy = freshen(arg, supply)
-                return DEREF, App(Lam(name, plug(inner, copy)), arg)
+                body = plug(inner, Var(name))
+                return BETA_NEED_MOD, subst(body, name, arg, supply)
             split = af_answer_split(arg)
             if split is not None:
                 if modified:
@@ -179,13 +173,13 @@ def _resolve_value(v: Term, stack: list, modified: bool, supply: NameSupply):
         new = App(Lam(outer_lam.binder, body), outer_arg.term)
         return (LIFT_MOD if modified else LIFT), new
     assert isinstance(boundary, BodF) and not boundary.between
+    if not pair_frames and not modified:
+        # argument reduced to a bare value: deref, the call back on the stack
+        stack += (ArgF(v), LamF(boundary.binder), *reversed(boundary.inner))
+        return DEREF, freshen(v, supply)
     call_body = plug(boundary.inner, Var(boundary.binder))
     if not pair_frames:
-        # argument reduced to a bare value
-        if modified:
-            return BETA_NEED_MOD, subst(call_body, boundary.binder, v, supply)
-        copy = freshen(v, supply)
-        return DEREF, App(Lam(boundary.binder, plug(boundary.inner, copy)), v)
+        return BETA_NEED_MOD, subst(call_body, boundary.binder, v, supply)
     if modified:
         return ASSOC_MOD, plug(pair_frames, App(Lam(boundary.binder, call_body), v))
     outer_lam = pair_frames[-2]

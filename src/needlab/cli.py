@@ -3,9 +3,9 @@
 Exit status is 0 only when the requested check reports no mismatches or
 violations; parse errors, open terms, a FILE that cannot be read and bad
 usage (including a negative fuel or depth, or a count or size below 1)
-exit 2 with a message and no traceback, and so does a labeled term given
-to a machine other than lstep.  Output cut short by a closed pipe
-(``needlab trace ... | head``) exits 1 without a traceback.
+exit 2 with a message and no traceback, and so does a labeled term that
+is inconsistent or given to a machine other than lstep.  Output cut short
+by a closed pipe (``needlab trace ... | head``) exits 1 without a traceback.
 """
 from __future__ import annotations
 

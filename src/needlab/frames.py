@@ -71,6 +71,17 @@ def plug(frames: Frames, t: Term) -> Term:
     return t
 
 
+def inject(t: Term) -> tuple[list, Term]:
+    """A stack driver's initial state: an empty frame stack and the term."""
+    return [], t
+
+
+def build(state: tuple[list, Term]) -> Term:
+    """The term of a stack driver's state plugged into its stack."""
+    stack, sub = state
+    return plug(tuple(reversed(stack)), sub)
+
+
 def context_term(frames: Frames) -> Term:
     """The context as a term with a distinguished hole."""
     return plug(frames, HOLE)

@@ -13,15 +13,15 @@ the machine's driver, which its evaluator runs in ``results.evaluate``.
 Traces print every state, and consecutive states share everything outside
 the contraction site.  ``run_eval`` prints through one ``PrintMemo`` per
 trace, so a node or frame printed for a recent state is not printed again.
-af's states are its driver's frame stack and a contractum: a
-``StackPrinter`` keeps one piece per frame and prints only the frames
-pushed since the last state.  ck's are frame tuples with shared suffixes,
-printed frame by frame (``print_plugged``) without plugging.  A ckh step
-pushes or pops one frame and names the one heap variable it changed, so
-``_CKHPrinter`` prints that frame and that heap entry, and
-``buildL(state, reuse)`` closes again only what the step changed: every
-other labeled node stays the same object, which the memo prints as stored
-text.
+need-sr's and af's states are their driver's frame stack and a contractum:
+a ``StackPrinter`` keeps one piece per frame and prints only the frames
+pushed since the last state, and the contractum.  ck's are frame tuples
+with shared suffixes, printed frame by frame (``print_plugged``) without
+plugging.  A ckh step pushes or pops one frame and names the one heap
+variable it changed, so ``_CKHPrinter`` prints that frame and that heap
+entry, and ``buildL(state, reuse)`` closes again only what the step
+changed: every other labeled node stays the same object, which the memo
+prints as stored text.
 
 Answer comparison works on the value component: by-need answers keep
 their binding context, so the context's bindings are substituted into the
@@ -38,7 +38,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from . import af, ck, ckh, lstep, need
-from .frames import ArgF
+from .frames import ArgF, inject
 from .gen import enumerate_closed, gen_closed
 from .oracle import decomposition_matches, enumerate_decompositions
 from .results import Done, start
@@ -149,7 +149,7 @@ def _print_terms(memo: PrintMemo):
     return partial(print_term, memo=memo), None
 
 
-def _print_af(memo: PrintMemo):
+def _print_stack(memo: PrintMemo):
     printer = StackPrinter(memo)
     return (lambda s: printer(*s)), None
 
@@ -206,10 +206,10 @@ class Machine:
 
 
 MACHINE_TABLE = {
-    "need-sr": Machine(lambda t, f: need.eval_sr(t, f), _same, need.drive, _print_terms, _closed),
-    "af": Machine(lambda t, f: af.eval_af(t, f), af.inject, af.drive_af, _print_af, _closed),
+    "need-sr": Machine(lambda t, f: need.eval_sr(t, f), inject, need.drive, _print_stack, _closed),
+    "af": Machine(lambda t, f: af.eval_af(t, f), inject, af.drive_af, _print_stack, _closed),
     "af-mod": Machine(
-        lambda t, f: af.eval_afmod(t, f), af.inject, af.drive_afmod, _print_af, _closed
+        lambda t, f: af.eval_afmod(t, f), inject, af.drive_afmod, _print_stack, _closed
     ),
     "name": Machine(lambda t, f: af.eval_name(t, f), _same, af.drive_name, _print_terms, _answer),
     "ck": Machine(lambda t, f: ck.eval_ck(t, f), ck.CKState, ck.drive, _print_ck, _closed),

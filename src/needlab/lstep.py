@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .results import evaluate
+from .results import NotConsistentlyLabeled, evaluate
 from .terms import (
     App,
     Labeled,
@@ -28,51 +28,15 @@ from .terms import (
     Term,
     _rebuild,
     erase,
+    is_cl,
     rewrite,
-    term_eq,
 )
-
-
-class NotConsistentlyLabeled(ValueError):
-    pass
 
 
 def is_labeled_value(t: Term) -> bool:
     while isinstance(t, Labeled):
         t = t.body
     return isinstance(t, Lam)
-
-
-def is_cl(t: Term) -> bool:
-    """Consistent labeling: equal labels imply structurally equal bodies.
-
-    A label's body is walked only where the label is first met; every later
-    occurrence is compared with that body (`is`, else term_eq) and not
-    walked again.  Skipping is sound: a body object already on the walk is
-    covered, and two term_eq bodies hold the same labels over term_eq
-    bodies, so any conflict inside a skipped body also sits inside the
-    first one.
-    """
-    bodies: dict[Name, Term] = {}
-    stack = [t]
-    push, pop = stack.append, stack.pop
-    while stack:
-        node = pop()
-        cls = node.__class__
-        if cls is App:
-            push(node.arg)
-            push(node.fn)
-        elif cls is Lam:
-            push(node.body)
-        elif cls is Labeled:
-            body = node.body
-            prev = bodies.get(node.label)
-            if prev is None:
-                bodies[node.label] = body
-                push(body)
-            elif prev is not body and not term_eq(prev, body):
-                return False
-    return True
 
 
 def substlab(t: Term, z: Name, s: Term) -> Term:

@@ -13,18 +13,27 @@ The decomposition is found by a frame-stack search (the same walk the CK
 transition system performs), not by backtracking over the context
 grammars; the exhaustive grammar enumerator in needlab.oracle serves as
 its independent check.
+
+The axiom leaves the redex's outer context untouched, so the standard
+reduction refocuses (Danvy and Nielsen), as af's does: ``drive`` cuts its
+stack back to the outer context after each step and resumes the search,
+grammar checks and all, from the contractum.  Its (stack, term) states are
+plugged only for the answer and printed from the stack; step_sr is the
+one-shot step from the root.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .frames import (
     ArgF,
     BodF,
     Frames,
     LamF,
+    build,
     context_term,
+    inject,
     is_answer_frames,
     plug,
     split_inner_partial,
@@ -140,8 +149,10 @@ class IllFormedTerm(AssertionError):
     hygienic inputs this is unreachable."""
 
 
-def _search(t: Term, strict: bool) -> Optional[NeedDecomposition]:
-    """Frame-stack redex search; stack holds frames outermost-first.
+def _search(t: Term, strict: bool, stack: Optional[list] = None) -> Optional[NeedDecomposition]:
+    """Frame-stack redex search of plug(stack, t), growing and cutting the
+    stack in place; it holds frames outermost-first, as an earlier search
+    left them, and is empty by default.
 
     `bal` tracks the argument/binder balance of the stack region above the
     innermost BodF, so the descend decision is O(1) per lambda.
@@ -152,9 +163,12 @@ def _search(t: Term, strict: bool) -> Optional[NeedDecomposition]:
             raise IllFormedTerm(msg)
         return None
 
-    control = t
-    stack: list = []
-    bal = 0
+    control, bal = t, 0
+    stack = [] if stack is None else stack
+    for f in reversed(stack):
+        if isinstance(f, BodF):
+            break
+        bal += 1 if isinstance(f, ArgF) else -1
     while True:
         if isinstance(control, App):
             stack.append(ArgF(control.arg))
@@ -248,15 +262,19 @@ def decompose(t: Term) -> NeedDecomposition:
     return d
 
 
-def contract(r: Redex, supply: Optional[NameSupply] = None) -> Term:
-    """Right-hand side of the axiom: substitute the value for the binder,
+def _contractum(r: Redex, supply: NameSupply) -> Term:
+    """The axiom's right-hand side: substitute the value for the binder,
     drop the call, and hoist the argument's bindings."""
-    if supply is None:
-        supply = NameSupply.for_term(r.whole_term())
     body = plug(r.demand + r.inner_partial, Var(r.binder))
     core = subst(body, r.binder, r.value, supply)
-    wrap = r.arg_context + r.binding + r.outer_partial + r.outer
-    return plug(wrap, core)
+    return plug(r.arg_context + r.binding + r.outer_partial, core)
+
+
+def contract(r: Redex, supply: Optional[NameSupply] = None) -> Term:
+    """The whole reduct: the contractum plugged into the outer context."""
+    if supply is None:
+        supply = NameSupply.for_term(r.whole_term())
+    return plug(r.outer, _contractum(r, supply))
 
 
 def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
@@ -271,19 +289,25 @@ def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     return contract(d, supply)
 
 
-def drive(t: Term, supply: NameSupply):
-    """Standard reduction from a closed hygienic term: ("beta-need", term)
-    per step, then (None, answer).  Steps preserve closedness, so the
-    search runs without decompose's check."""
-    while not isinstance(d := _search(t, strict=True), Answer):
-        t = contract(d, supply)
-        yield "beta-need", t
-    yield None, t
+def drive(state: tuple[list, Term], supply: NameSupply):
+    """Standard reduction from (stack, term), a closed hygienic term
+    plugged into an outermost-first stack: ("beta-need", state) per step,
+    then (None, state), the stack then holding the answer context around
+    the value.  Each step cuts the stack back to the redex's outer context
+    and resumes from the contractum; the stack is the driver's own, so
+    read it before asking for the next step.  Steps preserve closedness,
+    so the search runs without decompose's check."""
+    stack, t = state
+    while not isinstance(d := _search(t, True, stack), Answer):
+        del stack[len(d.outer) :]
+        t = _contractum(d, supply)
+        yield "beta-need", (stack, t)
+    yield None, (stack, d.value)
 
 
 def eval_sr(t: Term, fuel: int):
     """Iterate the standard reduction at most fuel times."""
-    return evaluate(t, fuel, drive)
+    return evaluate(t, fuel, drive, build, inject)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,19 +364,24 @@ def partitions(a: AnswerContext) -> list[tuple[int, Partition]]:
     return out
 
 
-def _positions(t: Term) -> Iterator[tuple[tuple, Term]]:
-    stack = [((), t)]
+def _positions(t: Term) -> Iterator[tuple[list, Term]]:
+    """(path, node) per application of t, in preorder; the path is the
+    walk's own list of steps, valid until the next item."""
+    path: list = []
+    stack = [(t, 0, ())]  # a node, the length of its parent's path, its step
     while stack:
-        path, node = stack.pop()
-        yield path, node
-        if isinstance(node, Lam):
-            stack.append((path + ("b",), node.body))
-        elif isinstance(node, App):
-            stack.append((path + ("a",), node.arg))
-            stack.append((path + ("f",), node.fn))
+        node, depth, step = stack.pop()
+        path[depth:] = step
+        depth = len(path)
+        if node.__class__ is App:
+            yield path, node
+            stack.append((node.arg, depth, ("a",)))
+            stack.append((node.fn, depth, ("f",)))
+        elif node.__class__ is Lam:
+            stack.append((node.body, depth, ("b",)))
 
 
-def _replace_at(t: Term, path: tuple, new: Term) -> Term:
+def _replace_at(t: Term, path: Sequence[str], new: Term) -> Term:
     if not path:
         return new
     spine = [t]
@@ -388,8 +417,6 @@ def compatible_reducts(t: Term, supply: Optional[NameSupply] = None) -> list[Ter
     seen = set()
     out = []
     for path, sub in _positions(t):
-        if sub.__class__ is not App:
-            continue
         r = redex_at_root(sub)
         if r is None:
             continue

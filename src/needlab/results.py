@@ -5,17 +5,22 @@ A run starts with one walk of its term (``terms.scan``, which
 ``terms.normalize`` runs): from what it reads, ``start`` rejects open
 input, and labeled input on a machine that reads no labels, and seeds the
 run's name supply.  A second walk renames binders only when the term is
-not hygienic."""
+not hygienic, and another checks a labeled term's labels (``is_cl``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import NameSupply, OpenTermError, Term, normalize
+from .terms import NameSupply, OpenTermError, Term, is_cl, normalize
 
 
 class LabeledTermError(ValueError):
     """Raised when a machine that reads only unlabeled terms is given a
-    labeled one."""
+    labeled one, or a machine that reads labels is given a term whose
+    labels are not consistent."""
+
+
+class NotConsistentlyLabeled(LabeledTermError):
+    """Two occurrences of one label hold different bodies."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,13 +45,16 @@ def iterate(step, state, supply: NameSupply):
 
 def start(t: Term, fuel: int, inject=None, labels: bool = False):
     """inject(hygienized t), a machine run's initial state, and the run's
-    name supply; rejects open terms, negative fuel and, unless the machine
-    reads labels, labeled terms."""
+    name supply; rejects open terms, negative fuel, labeled terms that are
+    not consistently labeled and, unless the machine reads labels, labeled
+    terms."""
     state, supply, found = normalize(t)
     if found.free:
         raise OpenTermError("evaluation requires a closed term")
     if found.labeled and not labels:
         raise LabeledTermError("this machine evaluates unlabeled terms only")
+    if found.labeled and not is_cl(t):  # the term as given, before renaming
+        raise NotConsistentlyLabeled("input is not consistently labeled")
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
     return (state if inject is None else inject(state)), supply

@@ -359,12 +359,13 @@ def _frame_text(f, level: int, memo: PrintMemo | None):
 
 class StackPrinter:
     """print_plugged for the successive states of one outermost-first frame
-    stack that each step cuts and then grows at its top, as af's driver
-    keeps it.
+    stack that each step cuts and then grows at its top, as the need-sr and
+    af drivers keep it.
 
     The printer keeps one piece per frame, with the frame.  A step pushes
-    only new frame objects, so the frames below its lowest cut are the
-    ones that are still the same object at the same depth, and they keep
+    only frames the last state's stack did not hold, so the frames below its
+    lowest cut are the ones that are still the same object at the same
+    depth, and they keep
     their pieces: a state prints the frames above that depth, found from
     the top down, and its term.
     """

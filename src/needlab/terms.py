@@ -3,7 +3,8 @@
 Terms are immutable trees of Var / Lam / App nodes.  Two extra node kinds
 live alongside them: Hole (used when rendering one-hole contexts) and
 Labeled (used by the parallel rewriting semantics, where any subterm may
-carry a variable as a sharing label).
+carry a variable as a sharing label, and equal labels must label equal
+bodies: ``is_cl``).
 
 Names are (base, index) pairs.  Source programs only contain index-0
 names; every machine-minted name gets a positive index and prints as
@@ -411,6 +412,38 @@ def scan(t: Term) -> Scan:
 def is_hygienic(t: Term) -> bool:
     """Hygiene check: binders pairwise distinct and disjoint from fv(t)."""
     return scan(t).hygienic
+
+
+def is_cl(t: Term) -> bool:
+    """Consistent labeling: equal labels imply structurally equal bodies.
+
+    A label's body is walked only where the label is first met; every later
+    occurrence is compared with that body (`is`, else term_eq) and not
+    walked again.  Skipping is sound: a body object already on the walk is
+    covered, and two term_eq bodies hold the same labels over term_eq
+    bodies, so any conflict inside a skipped body also sits inside the
+    first one.
+    """
+    bodies: dict[Name, Term] = {}
+    stack = [t]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = pop()
+        cls = node.__class__
+        if cls is App:
+            push(node.arg)
+            push(node.fn)
+        elif cls is Lam:
+            push(node.body)
+        elif cls is Labeled:
+            body = node.body
+            prev = bodies.get(node.label)
+            if prev is None:
+                bodies[node.label] = body
+                push(body)
+            elif prev is not body and not term_eq(prev, body):
+                return False
+    return True
 
 
 def normalize(t: Term, supply: Optional[NameSupply] = None) -> tuple[Term, NameSupply, Scan]:

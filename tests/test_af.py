@@ -1,3 +1,4 @@
+from needlab import af
 from needlab.af import (
     ASSOC,
     ASSOC_MOD,
@@ -186,3 +187,15 @@ def test_resumed_search_matches_iterated_steps_on_corpus():
             assert resumed.steps == iterated.steps, (i, evaluate.__name__)
             if isinstance(resumed, Done):
                 assert term_eq(resumed.answer, iterated.answer), (i, evaluate.__name__)
+
+
+def test_deref_keeps_the_context_it_reads_from(monkeypatch):
+    # corpus 879 derefs at every step and keeps every call, so its term grows
+    # by a binding per step; a deref that rebuilt the retained context passed
+    # 503,001 frames to plug over 2,000 steps
+    passed = []
+    real = af.plug
+    monkeypatch.setattr(af, "plug", lambda fs, t: passed.append(len(fs)) or real(fs, t))
+    r = eval_af(gen_closed(42 + 879, 25), 2000)
+    assert isinstance(r, Timeout) and r.steps == 2000
+    assert sum(passed) <= r.steps

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import needlab
-from needlab import af, ck, ckh, harness, lstep, need, oracle, terms
+from needlab import af, ck, ckh, harness, lstep, need, oracle, results, terms
 from needlab.cli import main as cli_main
 from needlab.frames import context_term, plug
 from needlab.harness import (
@@ -374,7 +374,7 @@ def test_cli_trace_into_closed_pipe(tmp_path):
 
 def _one_shot(machine, state):
     # (term, mapped) of a state printed from scratch, without any memo
-    if machine in ("af", "af-mod"):
+    if machine in ("need-sr", "af", "af-mod"):
         stack, sub = state
         return print_term(plug(tuple(reversed(stack)), sub)), None
     if machine == "ck":
@@ -538,6 +538,28 @@ def test_cli_rejects_labeled_input_unless_the_machine_reads_labels(tmp_path, cap
         assert status == 2, (machine, source)
         assert captured.err.startswith(f"labeled term: {machine}: ") and not captured.out
         assert "Traceback" not in captured.err
+
+
+def test_lstep_rejects_input_that_is_not_consistently_labeled(monkeypatch, tmp_path, capsys):
+    # the label l names two different bodies
+    bad = parse(r"l:(\x.x) l:(\y.\z.z)")
+    # one error type, whether the run or the one-shot step finds it
+    with pytest.raises(lstep.NotConsistentlyLabeled):
+        lstep.step_lstep(bad)
+    with pytest.raises(lstep.NotConsistentlyLabeled):
+        lstep.eval_lstep(bad, 50)
+    with pytest.raises(LabeledTermError):
+        run_eval(bad, "lstep", 50)
+    f = tmp_path / "l.lam"
+    f.write_text(print_term(bad) + "\n")
+    assert cli_main(["eval", "--machine", "lstep", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("labeled term: lstep: ") and not captured.out
+    # the check reads the term as given, before binders are renamed apart
+    assert isinstance(lstep.eval_lstep(parse(r"l:(\x.x) l:(\x.x)"), 50), Done)
+    # an unlabeled run does not check its labels
+    monkeypatch.setattr(results, "is_cl", None)
+    assert isinstance(lstep.eval_lstep(parse(r"(\x.x) (\y.y)"), 50), Done)
 
 
 def test_cli_decompose_rejects_labeled_input(tmp_path, capsys):

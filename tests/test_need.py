@@ -1,12 +1,14 @@
 import pytest
+from test_harness import LEQ
 
+from needlab import need
 from needlab.frames import ArgF, LamF, context_term, is_answer_frames
 from needlab.gen import enumerate_closed, gen_closed
+from needlab.harness import run_eval
 from needlab.need import (
     Answer,
     AnswerContext,
     Redex,
-    _positions,
     _replace_at,
     compatible_reducts,
     contract,
@@ -19,7 +21,7 @@ from needlab.need import (
     step_sr,
 )
 from needlab.results import Done, Timeout
-from needlab.syntax import parse
+from needlab.syntax import parse, print_term
 from needlab.terms import (
     App,
     Lam,
@@ -230,13 +232,26 @@ def test_compatible_reducts():
     assert alpha_eq(rs[0], parse(r"(\x.x x) (\b.b)"))
 
 
+def _positions_reference(t):
+    # every position with its path as a fresh tuple, in preorder
+    stack = [((), t)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        if isinstance(node, Lam):
+            stack.append((path + ("b",), node.body))
+        elif isinstance(node, App):
+            stack.append((path + ("a",), node.arg))
+            stack.append((path + ("f",), node.fn))
+
+
 def _compatible_reducts_reference(t):
     # compatible_reducts as it was before it skipped non-application
     # positions: the redex search runs at every position
     supply = NameSupply.for_term(t)
     seen = set()
     out = []
-    for path, sub in _positions(t):
+    for path, sub in _positions_reference(t):
         r = redex_at_root(sub)
         if r is None:
             continue
@@ -277,3 +292,57 @@ def test_joinable():
     assert len(rs) == 2
     assert joinable(rs[0], rs[1], 4)
     assert not joinable(parse(r"\x.x"), parse(r"\x.\y.y"), 5)
+
+
+def _iterate_sr(t, fuel):
+    """Drive step_sr from the root, as a caller of the one-shot API would:
+    the terms it passes through, first to last, and whether it ran out of
+    fuel."""
+    supply = NameSupply.for_term(t)
+    t = hygienize(t, supply)
+    seen = [t]
+    while True:
+        assert is_closed(t) and is_hygienic(t), print_term(t)
+        n = step_sr(t, supply)
+        if n is None:
+            return seen, False
+        if len(seen) > fuel:
+            return seen, True
+        t = n
+        seen.append(t)
+
+
+def test_resumed_search_matches_iterated_steps_on_corpus():
+    # eval_sr and run_eval's need-sr trace resume each search at the last
+    # contraction site, and the trace prints from the driver's stack; step_sr
+    # searches from the root every time.  All must reach the same verdict
+    # after the same number of steps, with the same answer, fresh names
+    # included, and the trace must print every term the one-shot steps give.
+    terms = [gen_closed(42 + i, 25) for i in range(300)] + [LEQ]
+    for i, t in enumerate(terms):
+        seen, timed_out = _iterate_sr(t, 1000)
+        steps = len(seen) - 1
+        resumed = eval_sr(t, 1000)
+        assert isinstance(resumed, Timeout if timed_out else Done), i
+        assert resumed.steps == steps, i
+        if not timed_out:
+            assert term_eq(resumed.answer, seen[-1]), i
+        tr = run_eval(t, "need-sr", 1000)
+        assert [(s.rule, s.term) for s in tr.steps] == [
+            ("beta-need", print_term(u)) for u in seen[1:]
+        ], i
+        want = ("timeout", None) if timed_out else ("done", print_term(seen[-1]))
+        assert (tr.verdict, tr.answer) == want, i
+    assert isinstance(resumed, Done) and resumed.steps == 61
+
+
+def test_standard_reduction_plugs_only_the_contraction_site(monkeypatch):
+    # the driver cuts its stack back to each redex's outer context and plugs
+    # only the contractum; plugging the whole reduct again at every step
+    # passed 1,138 frames over LEQ's 61 steps
+    passed = []
+    real = need.plug
+    monkeypatch.setattr(need, "plug", lambda fs, t: passed.append(len(fs)) or real(fs, t))
+    r = eval_sr(LEQ, 1000)
+    assert isinstance(r, Done) and r.steps == 61
+    assert sum(passed) == 351

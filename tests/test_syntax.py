@@ -94,9 +94,13 @@ def _machine_terms(machine, t, fuel):
     row = MACHINE_TABLE[machine]
     supply = NameSupply.for_term(t)
     state = row.inject(hygienize(t, supply))
-    image = {"af": af.build, "af-mod": af.build, "ck": ck.build, "ckh": ckh.buildL}.get(
-        machine, lambda s: s
-    )
+    image = {
+        "need-sr": af.build,
+        "af": af.build,
+        "af-mod": af.build,
+        "ck": ck.build,
+        "ckh": ckh.buildL,
+    }.get(machine, lambda s: s)
     out = [image(state)]
     for rule, state in row.drive(state, supply):
         out.append(image(state))
