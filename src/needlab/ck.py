@@ -25,10 +25,8 @@ from .frames import (
     Frames,
     LamF,
     balance,
-    classify_frames,
     context_term,
     is_answer_frames,
-    is_demand_frames,
     matching_argument,
     plug,
     split_inner_partial,
@@ -226,11 +224,9 @@ __all__ = [
     "build",
     "buildF",
     "build_step_term",
-    "classify_frames",
     "drive",
     "eval_ck",
     "inject_ck",
-    "is_demand_frames",
     "is_final",
     "step_ck",
     "subst_frames",

@@ -251,13 +251,16 @@ def buildL(s: CKHState, reuse: Optional[ImageCache] = None) -> Term:
             p = new[t] = [_refs(t, heap, out), None]
         return p[0]
 
+    def label_of(node: Var, env) -> Term:  # rewrite's var hook: a reference closed
+        return labels.get(node.name, node)
+
     def closed(t: Term) -> Term:  # a piece, once its refs are closed
         if t.__class__ is Var:
             return labels.get(t.name, t)
         p = new[t]
         c = p[1]
         if c is None:
-            c = p[1] = rewrite(t, var=labels) if p[0] else t
+            c = p[1] = rewrite(t, var=label_of) if p[0] else t
         if c.__class__ is App:
             making.setdefault((c.fn, c.arg), c)
         return c
@@ -314,7 +317,7 @@ def buildL(s: CKHState, reuse: Optional[ImageCache] = None) -> Term:
             elif is_piece:
                 c = closed(b)
             else:
-                c = rewrite(b, var=labels) if refs else b
+                c = rewrite(b, var=label_of) if refs else b
             labels[name] = make(Labeled, name, c)
             names[name] = _Closed(b, refs)
             for d in refs:

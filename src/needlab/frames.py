@@ -167,16 +167,6 @@ def is_answer_frames(frames: Frames) -> bool:
     return not free and not opens
 
 
-def is_outer_partial_frames(frames: Frames) -> bool:
-    """Membership in the outer partial-answer-context grammar."""
-    if not _pure(frames):
-        return False
-    if not frames:
-        return True
-    free, opens = _scan(frames)
-    return not opens and bool(free) and free[-1] == len(frames) - 1
-
-
 def is_inner_partial_frames(frames: Frames) -> bool:
     """Membership in the inner partial-answer-context grammar."""
     if not _pure(frames):
@@ -257,53 +247,6 @@ def is_eval_frames(frames: Frames) -> bool:
     context with no obligation left open."""
     ok, pending, _ = scan_demand(frames)
     return ok and pending == 0
-
-
-def is_demand_frames(frames: Frames) -> bool:
-    """Membership in the inner-partial-around-eval shapes: a well-formed
-    demand context, obligations allowed."""
-    ok, _, _ = scan_demand(frames)
-    return ok
-
-
-def is_eval_outer_frames(frames: Frames) -> bool:
-    """Membership in the eval-around-outer-partial grammar (contexts that
-    split as an outer partial prefix inside an evaluation context)."""
-    if is_eval_frames(frames):
-        return True
-    stack = 0
-    for i, f in enumerate(frames):
-        if isinstance(f, BodF):
-            return False
-        if isinstance(f, LamF):
-            stack += 1
-        elif stack:
-            stack -= 1
-        elif is_eval_frames(frames[i + 1 :]):
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class ContextClasses:
-    answer: bool
-    outer_partial: bool
-    inner_partial: bool
-    eval: bool
-    demand: bool
-    eval_outer: bool
-
-
-def classify_frames(frames: Frames) -> ContextClasses:
-    """Decide membership of the context in each grammar class."""
-    return ContextClasses(
-        answer=is_answer_frames(frames),
-        outer_partial=is_outer_partial_frames(frames),
-        inner_partial=is_inner_partial_frames(frames),
-        eval=is_eval_frames(frames),
-        demand=is_demand_frames(frames),
-        eval_outer=is_eval_outer_frames(frames),
-    )
 
 
 def matching_argument(frames: Frames, start: int) -> Optional[int]:

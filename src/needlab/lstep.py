@@ -26,7 +26,6 @@ from .terms import (
     NameSupply,
     OpenTermError,
     Term,
-    _rebuild,
     erase,
     is_cl,
     rewrite,
@@ -84,7 +83,7 @@ def _subst_closed(t: Term, x: Name, s: Term) -> Term:
     def lam_fn(node, shadowed):
         return node.binder, (True if node.binder == x else shadowed)
 
-    return _rebuild(t, var_fn, lam_fn)
+    return rewrite(t, var=var_fn, lam=lam_fn)
 
 
 def step_lstep(t: Term, supply: Optional[NameSupply] = None, check: bool = True) -> Optional[Term]:

@@ -64,6 +64,25 @@ def _inner_partial_holes(t: Term) -> Iterator[tuple[Frames, Term]]:
                 yield chk_frames + (LamF(at_hole.binder),) + a_frames, hole
 
 
+def _demanding_calls(t: Term) -> Iterator[tuple]:
+    """Every call of t that demands its argument, per the grammar: (outer
+    partial, binding, binder, inner partial, demand, argument), the binder's
+    occurrence at the demand context's hole."""
+    for hat_frames, at_hat in _outer_partial_holes(t):
+        if not isinstance(at_hat, App):
+            continue
+        for a1_frames, at_a1 in _answer_holes(at_hat.fn):
+            if not isinstance(at_a1, Lam):
+                continue
+            binder = at_a1.binder
+            for chk_frames, at_chk in _inner_partial_holes(at_a1.body):
+                if not is_answer_frames(chk_frames + hat_frames):
+                    continue
+                for dem_frames, leaf in eval_context_holes(at_chk):
+                    if isinstance(leaf, Var) and leaf.name == binder:
+                        yield hat_frames, a1_frames, binder, chk_frames, dem_frames, at_hat.arg
+
+
 def eval_context_holes(t: Term) -> Iterator[tuple[Frames, Term]]:
     """Evaluation-context paths per the grammar, derivations not deduped."""
     yield (), t
@@ -74,52 +93,26 @@ def eval_context_holes(t: Term) -> Iterator[tuple[Frames, Term]]:
         if a_frames:
             for frames, sub in eval_context_holes(at_hole):
                 yield frames + a_frames, sub
-    for hat_frames, at_hat in _outer_partial_holes(t):
-        if not isinstance(at_hat, App):
-            continue
-        op, arg = at_hat.fn, at_hat.arg
-        for a1_frames, at_a1 in _answer_holes(op):
-            if not isinstance(at_a1, Lam):
-                continue
-            binder = at_a1.binder
-            for chk_frames, at_chk in _inner_partial_holes(at_a1.body):
-                if not is_answer_frames(chk_frames + hat_frames):
-                    continue
-                for dem_frames, leaf in eval_context_holes(at_chk):
-                    if not (isinstance(leaf, Var) and leaf.name == binder):
-                        continue
-                    bod = BodF(binder, dem_frames + chk_frames, a1_frames)
-                    for frames, sub in eval_context_holes(arg):
-                        yield frames + (bod,) + hat_frames, sub
+    for hat_frames, a1_frames, binder, chk_frames, dem_frames, arg in _demanding_calls(t):
+        bod = BodF(binder, dem_frames + chk_frames, a1_frames)
+        for frames, sub in eval_context_holes(arg):
+            yield frames + (bod,) + hat_frames, sub
 
 
 def redexes_at_root(t: Term) -> Iterator[Redex]:
     """All ways t itself matches the redex pattern."""
-    for hat_frames, at_hat in _outer_partial_holes(t):
-        if not isinstance(at_hat, App):
-            continue
-        op, arg = at_hat.fn, at_hat.arg
-        for a1_frames, at_a1 in _answer_holes(op):
-            if not isinstance(at_a1, Lam):
-                continue
-            binder = at_a1.binder
-            for chk_frames, at_chk in _inner_partial_holes(at_a1.body):
-                if not is_answer_frames(chk_frames + hat_frames):
-                    continue
-                for dem_frames, leaf in eval_context_holes(at_chk):
-                    if not (isinstance(leaf, Var) and leaf.name == binder):
-                        continue
-                    for a2_frames, value in answer_splits(arg):
-                        yield Redex(
-                            outer=(),
-                            outer_partial=hat_frames,
-                            binding=a1_frames,
-                            binder=binder,
-                            inner_partial=chk_frames,
-                            demand=dem_frames,
-                            arg_context=a2_frames,
-                            value=value,
-                        )
+    for hat_frames, a1_frames, binder, chk_frames, dem_frames, arg in _demanding_calls(t):
+        for a2_frames, value in answer_splits(arg):
+            yield Redex(
+                outer=(),
+                outer_partial=hat_frames,
+                binding=a1_frames,
+                binder=binder,
+                inner_partial=chk_frames,
+                demand=dem_frames,
+                arg_context=a2_frames,
+                value=value,
+            )
 
 
 def _redex_key(outer: Frames, r: Redex):

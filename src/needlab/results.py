@@ -5,12 +5,13 @@ A run starts with one walk of its term (``terms.scan``, which
 ``terms.normalize`` runs): from what it reads, ``start`` rejects open
 input, and labeled input on a machine that reads no labels, and seeds the
 run's name supply.  A second walk renames binders only when the term is
-not hygienic, and another checks a labeled term's labels (``is_cl``)."""
+not hygienic, and on a labeled term two more check its labels: ``is_cl``
+on the input, and ``alpha_eq`` of the renamed term to the input."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import NameSupply, OpenTermError, Term, is_cl, normalize
+from .terms import NameSupply, OpenTermError, Term, alpha_eq, is_cl, normalize
 
 
 class LabeledTermError(ValueError):
@@ -46,8 +47,8 @@ def iterate(step, state, supply: NameSupply):
 def start(t: Term, fuel: int, inject=None, labels: bool = False):
     """inject(hygienized t), a machine run's initial state, and the run's
     name supply; rejects open terms, negative fuel, labeled terms that are
-    not consistently labeled and, unless the machine reads labels, labeled
-    terms."""
+    not consistently labeled or have no consistent renaming to hygiene and,
+    unless the machine reads labels, labeled terms."""
     state, supply, found = normalize(t)
     if found.free:
         raise OpenTermError("evaluation requires a closed term")
@@ -55,6 +56,8 @@ def start(t: Term, fuel: int, inject=None, labels: bool = False):
         raise LabeledTermError("this machine evaluates unlabeled terms only")
     if found.labeled and not is_cl(t):  # the term as given, before renaming
         raise NotConsistentlyLabeled("input is not consistently labeled")
+    if found.labeled and state is not t and not alpha_eq(state, t):
+        raise NotConsistentlyLabeled("copies of one label refer to different binders")
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
     return (state if inject is None else inject(state)), supply

@@ -19,6 +19,10 @@ normalized term, in Launchbury's sense).  ``scan`` reads all that a start
 needs in one walk: the free variables, the highest name index, whether the
 term is hygienic and whether it carries labels; ``normalize`` adds a
 renaming walk only when the term is not hygienic.
+
+``rewrite`` is the one bottom-up rebuild of a term: freshening,
+substitution, hygiene renaming, relabeling and label erasure are each a set
+of hooks to it.
 """
 from __future__ import annotations
 
@@ -219,56 +223,60 @@ def is_closed(t: Term) -> bool:
     return not free_vars(t)
 
 
-def _rebuild(t: Term, var_fn, lam_fn):
-    """Generic iterative bottom-up rebuild with binder environments.
-
-    var_fn(node, env) -> Term
-    lam_fn(node, env) -> (new_binder, child_env) run before descending
-    Labels are kept.  Unchanged subtrees are returned as the original
+def rewrite(t: Term, enter=None, leave=None, var=None, lam=None) -> Term:
+    """The one bottom-up rebuild of a term; unchanged subtrees stay the same
     objects.
+
+    var(node, env) returns the term that replaces a variable; lam(node, env)
+    returns an abstraction's new binder and its body's env, by default the
+    binder and env as they are; env is None at the root.  Hooks act at
+    Labeled nodes: enter(node) returns a Term that replaces the node
+    unvisited, or None to descend; leave(node, body) rebuilds it from its
+    rewritten body (by default keeping the label).
     """
-    ENTER, EXIT = 0, 1
-    work = [(ENTER, t, _NIL, None)]
+    # a node on the work stack is entered; a tuple holding it is left, and a
+    # Lam's tuple holds its new binder and the env outside it as well: the
+    # walk is depth-first, so one env is current at a time
+    work: list = [t]
+    push, pop = work.append, work.pop
     results: list[Term] = []
+    emit, take = results.append, results.pop
+    env = None
     while work:
-        phase, node, env, extra = work.pop()
-        if phase == ENTER:
-            if isinstance(node, Var):
-                results.append(var_fn(node, env))
-            elif isinstance(node, Lam):
-                new_binder, child_env = lam_fn(node, env)
-                work.append((EXIT, node, env, new_binder))
-                work.append((ENTER, node.body, child_env, None))
-            elif isinstance(node, App):
-                work.append((EXIT, node, env, None))
-                work.append((ENTER, node.arg, env, None))
-                work.append((ENTER, node.fn, env, None))
-            elif isinstance(node, Labeled):
-                work.append((EXIT, node, env, None))
-                work.append((ENTER, node.body, env, None))
+        node = pop()
+        cls = node.__class__
+        if cls is tuple:  # rebuild from the children's results
+            last = take()
+            done = node[0]
+            kind = done.__class__
+            if kind is App:
+                fn = take()
+                emit(done if fn is done.fn and last is done.arg else App(fn, last))
+            elif kind is Lam:
+                _, binder, env = node
+                emit(done if last is done.body and binder == done.binder else Lam(binder, last))
+            elif leave is not None:
+                emit(leave(done, last))
             else:
-                results.append(node)
+                emit(done if last is done.body else Labeled(done.label, last))
+        elif cls is App:
+            push((node,))
+            push(node.arg)
+            push(node.fn)
+        elif cls is Lam:
+            binder, inner = (node.binder, env) if lam is None else lam(node, env)
+            push((node, binder, env))
+            push(node.body)
+            env = inner
+        elif cls is Labeled and enter is not None and (short := enter(node)) is not None:
+            emit(short)
+        elif cls is Labeled:
+            push((node,))
+            push(node.body)
+        elif var is not None and cls is Var:
+            emit(var(node, env))
         else:
-            if isinstance(node, Lam):
-                body = results.pop()
-                if body is node.body and extra == node.binder:
-                    results.append(node)
-                else:
-                    results.append(Lam(extra, body))
-            elif isinstance(node, App):
-                arg = results.pop()
-                fn = results.pop()
-                if fn is node.fn and arg is node.arg:
-                    results.append(node)
-                else:
-                    results.append(App(fn, arg))
-            else:  # Labeled
-                body = results.pop()
-                if body is node.body:
-                    results.append(node)
-                else:
-                    results.append(Labeled(node.label, body))
-    assert len(results) == 1
+            emit(node)
     return results[0]
 
 
@@ -283,11 +291,11 @@ def freshen(t: Term, supply: NameSupply) -> Term:
         nb = supply.fresh(node.binder.base)
         return nb, (node.binder, nb, env)
 
-    return _rebuild(t, var_fn, lam_fn)
+    return rewrite(t, var=var_fn, lam=lam_fn)
 
 
 def _capture_avoiding(x: Name, fvs: set[Name], supply: NameSupply):
-    """The lam_fn of substituting for x a term whose free variables are fvs:
+    """The lam hook of substituting for x a term whose free variables are fvs:
     binders of x block the substitution, and binders in fvs are renamed."""
 
     def lam_fn(node, env):
@@ -333,7 +341,7 @@ def subst(
             return freshen(s, supply)
         return node
 
-    return _rebuild(t, var_fn, _capture_avoiding(x, free_vars(s), supply))
+    return rewrite(t, var=var_fn, lam=_capture_avoiding(x, free_vars(s), supply))
 
 
 def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Term:
@@ -352,7 +360,7 @@ def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None)
             return node if new == node.name else Var(new)
         return s if node.name == x else node
 
-    return _rebuild(t, var_fn, _capture_avoiding(x, free_vars(s), supply))
+    return rewrite(t, var=var_fn, lam=_capture_avoiding(x, free_vars(s), supply))
 
 
 class Scan(NamedTuple):
@@ -449,7 +457,12 @@ def is_cl(t: Term) -> bool:
 def normalize(t: Term, supply: Optional[NameSupply] = None) -> tuple[Term, NameSupply, Scan]:
     """t with its binders renamed to hygiene, the supply that minted the new
     names (seeded above every name of t unless one is given), and t's scan.
-    A hygienic t comes back as itself, after one walk."""
+    A hygienic t comes back as itself, after one walk.
+
+    A label's body is renamed where the label is first met, and that node
+    stands for every later occurrence, so the copies stay equal and share
+    their binders.  Copies whose free names sit under different binders
+    have no such renaming: the result is then not alpha_eq to t."""
     found = scan(t)
     if supply is None:
         supply = NameSupply(found.top + 1)
@@ -467,7 +480,18 @@ def normalize(t: Term, supply: Optional[NameSupply] = None) -> tuple[Term, NameS
         taken.add(ny)
         return ny, (y, ny, env)
 
-    return _rebuild(t, var_fn, lam_fn), supply, found
+    enter = leave = None
+    if found.labeled:
+        renamed: dict[Name, Term] = {}
+
+        def enter(node):
+            return renamed.get(node.label)
+
+        def leave(node, body):
+            new = renamed[node.label] = node if body is node.body else Labeled(node.label, body)
+            return new
+
+    return rewrite(t, enter, leave, var_fn, lam_fn), supply, found
 
 
 def hygienize(t: Term, supply: Optional[NameSupply] = None) -> Term:
@@ -566,50 +590,6 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
             stack.append((a.body, b.body, env1, env2, depth))
         # holes: identity handled above
     return True
-
-
-def rewrite(t: Term, enter=None, leave=None, var=None) -> Term:
-    """Env-free bottom-up rebuild; unchanged subtrees stay the same objects.
-
-    Hooks act at Labeled nodes: enter(node) returns a Term that replaces
-    the node unvisited, or None to descend; leave(node, body) rebuilds it
-    from its rewritten body (by default keeping the label).  var maps
-    names to the terms that replace their variables.
-    """
-    # a node on the work stack is entered; a 1-tuple holding it is left
-    work: list = [t]
-    push, pop = work.append, work.pop
-    results: list[Term] = []
-    emit, take = results.append, results.pop
-    while work:
-        node = pop()
-        cls = node.__class__
-        if cls is tuple:  # rebuild from the children's results
-            node = node[0]
-            last = take()
-            if node.__class__ is App:
-                fn = take()
-                emit(node if fn is node.fn and last is node.arg else App(fn, last))
-            elif node.__class__ is Lam:
-                emit(node if last is node.body else Lam(node.binder, last))
-            elif leave is not None:
-                emit(leave(node, last))
-            else:
-                emit(node if last is node.body else Labeled(node.label, last))
-        elif cls is App:
-            push((node,))
-            push(node.arg)
-            push(node.fn)
-        elif cls is Labeled and enter is not None and (short := enter(node)) is not None:
-            emit(short)
-        elif cls is Lam or cls is Labeled:
-            push((node,))
-            push(node.body)
-        elif var is not None and cls is Var:
-            emit(var.get(node.name, node))
-        else:
-            emit(node)
-    return results[0]
 
 
 def erase(t: Term) -> Term:

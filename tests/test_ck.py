@@ -9,13 +9,21 @@ from needlab.ck import (
     build,
     buildF,
     build_step_term,
-    classify_frames,
     eval_ck,
     inject_ck,
     is_final,
     step_ck,
 )
-from needlab.frames import ArgF, BodF, LamF, balance
+from needlab.frames import (
+    ArgF,
+    BodF,
+    LamF,
+    balance,
+    is_answer_frames,
+    is_eval_frames,
+    is_inner_partial_frames,
+    split_outer_partial,
+)
 from needlab.need import eval_sr, step_sr
 from needlab.results import Done, Timeout
 from needlab.syntax import parse, print_term
@@ -56,12 +64,12 @@ def test_balance():
 
 def test_classify_frames():
     e = parse(r"\q.q")
-    c = classify_frames(())
-    assert c.answer and c.outer_partial and c.inner_partial and c.eval and c.demand and c.eval_outer
-    c = classify_frames((LamF(Name("x")), ArgF(e)))
-    assert c.answer
-    c = classify_frames((ArgF(e),))
-    assert c.eval and c.outer_partial and not c.answer
+    assert is_answer_frames(()) and is_inner_partial_frames(()) and is_eval_frames(())
+    assert split_outer_partial((), 0) == ((), ())
+    assert is_answer_frames((LamF(Name("x")), ArgF(e)))
+    c = (ArgF(e),)
+    assert is_eval_frames(c) and not is_answer_frames(c)
+    assert split_outer_partial(c, 1) == (c, ())
 
 
 def test_step_rules_golden():

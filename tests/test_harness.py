@@ -562,6 +562,32 @@ def test_lstep_rejects_input_that_is_not_consistently_labeled(monkeypatch, tmp_p
     assert isinstance(lstep.eval_lstep(parse(r"(\x.x) (\y.y)"), 50), Done)
 
 
+def test_lstep_renames_each_label_body_once(tmp_path, capsys):
+    # renaming to hygiene renames a label's body where it is first met and
+    # reuses that node, so the run starts consistently labeled
+    t = parse(r"l:(\x.x) l:(\x.x)")
+    state, _ = results.start(t, 50, labels=True)
+    assert state.fn is state.arg and alpha_eq(state, t)
+    r = lstep.eval_lstep(t, 50)
+    assert isinstance(r, Done) and print_term(r.answer) == r"x%1:(l:(\x.x))"
+    f = tmp_path / "l.lam"
+    f.write_text(print_term(t) + "\n")
+    assert cli_main(["eval", "--machine", "lstep", str(f)]) == 0
+    assert capsys.readouterr().out == "done in 1 steps: x%1:(l:(\\x.x))\n"
+    # copies of l whose y are different binders: no renaming keeps them equal
+    for source in (r"(\y.l:(y)) (\y.l:(y))", r"\y.(\y.l:(y)) l:(y)"):
+        bad = parse(source)
+        assert terms.is_cl(bad)
+        with pytest.raises(lstep.NotConsistentlyLabeled):
+            lstep.eval_lstep(bad, 50)
+        with pytest.raises(LabeledTermError):
+            run_eval(bad, "lstep", 50)
+        f.write_text(source + "\n")
+        assert cli_main(["eval", "--machine", "lstep", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("labeled term: lstep: ") and not captured.out
+
+
 def test_cli_decompose_rejects_labeled_input(tmp_path, capsys):
     f = tmp_path / "l.lam"
     f.write_text(LABELED[0] + "\n")

@@ -19,6 +19,7 @@ from needlab.terms import (
     hygienize,
     is_closed,
     is_hygienic,
+    normalize,
     scan,
     strip_value_labels,
     subst,
@@ -137,6 +138,23 @@ def test_freshen_renames_all_binders():
     f = freshen(t, supply)
     assert alpha_eq(t, f)
     assert f.binder.index >= 10
+
+
+def test_freshen_keeps_free_names_outside_a_binder():
+    # the free x after the abstraction is outside the renamed binder's scope
+    t = parse(r"(\x.x) x")
+    f = freshen(t, NameSupply(10))
+    assert f.fn.binder == f.fn.body.name == Name("x", 10)
+    assert f.arg is t.arg
+
+
+def test_subst_for_a_name_not_free_returns_the_input_itself():
+    s = parse(r"\a.a")
+    for src in (r"\y.y (\z.z)", r"(\x.x) (\y.\x.y x)", r"\q.l:(q)"):
+        t = parse(src)
+        assert subst(t, Name("x"), s) is t
+        assert subst_shared(t, Name("x"), s) is t
+        assert freshen(t, NameSupply(10)) is not t
 
 
 def test_name_supply_monotone():
@@ -291,3 +309,16 @@ def test_scan_agrees_with_the_separate_walks():
 def test_scan_hand_cases(t, free, top, hygienic, labeled):
     assert scan(t) == (free, top, hygienic, labeled)
     _check_scan(t)
+
+
+def test_normalize_gives_an_alpha_equal_hygienic_term():
+    # the collapsed copies shadow and capture, so a binder's renaming must
+    # end where its scope does
+    corpus = list(enumerate_closed(7)) + [gen_closed(seed, 25) for seed in range(200)]
+    renamed = 0
+    for t in corpus:
+        for u in _scan_cases(t):
+            h = normalize(u)[0]
+            assert is_hygienic(h) and alpha_eq(h, u), print_term(u)
+            renamed += h is not u
+    assert renamed > 300
