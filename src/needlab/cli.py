@@ -2,9 +2,10 @@
 
 Exit status is 0 only when the requested check reports no mismatches or
 violations; parse errors, open terms, a FILE that cannot be read and bad
-usage (including a negative fuel or depth, or a count or size below 1)
-exit 2 with a message and no traceback, and so does a labeled term that
-is inconsistent or given to a machine other than lstep.  Output cut short
+usage (including a negative fuel or depth, a count or size below 1, or a
+diff size below 2) exit 2 with a message and no traceback, and so do a
+term to run that holds the hole ``[]`` and a labeled term that is
+inconsistent or given to a machine other than lstep.  Output cut short
 by a closed pipe (``needlab trace ... | head``) exits 1 without a traceback.
 """
 from __future__ import annotations
@@ -18,22 +19,30 @@ from .frames import context_term
 from .prelude import expand_prelude
 from .results import Done, LabeledTermError
 from .syntax import ParseError, parse, print_term
-from .terms import OpenTermError, normalize
+from .terms import HOLE, OpenTermError, normalize, subterms
 
 
-def _load_term(args):
-    """The term in args.file (- for stdin), expanded under --prelude."""
+class HoleError(ValueError):
+    """Raised when a term to run holds the hole of a rendered context."""
+
+
+def _load_term(args, run=True):
+    """The term in args.file (- for stdin), expanded under --prelude.  A
+    term to run may not hold the hole, which parses only so that printed
+    contexts read back."""
     if args.file == "-":
         text = sys.stdin.read()
     else:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     t = parse(text)
+    if run and any(node is HOLE for node in subterms(t)):
+        raise HoleError("the hole [] belongs to printed contexts and cannot be run")
     return expand_prelude(t) if getattr(args, "prelude", False) else t
 
 
 def _cmd_parse(args) -> int:
-    print(print_term(_load_term(args)))
+    print(print_term(_load_term(args, run=False)))
     return 0
 
 
@@ -139,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("diff", help="differential test over a random corpus")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--count", type=_at_least(1), default=100)
-    sp.add_argument("--max-size", type=_at_least(1), default=25)
+    sp.add_argument("--max-size", type=_at_least(2), default=25)
     sp.add_argument("--fuel", type=_at_least(0), default=2000)
     sp.set_defaults(fn=_report(lambda a: harness.run_diff(a.seed, a.count, a.max_size, a.fuel)))
 
@@ -184,6 +193,9 @@ def main(argv=None) -> int:
         return 2
     except OpenTermError as e:
         print(f"open term: {e}", file=sys.stderr)
+        return 2
+    except HoleError as e:
+        print(f"hole: {e}", file=sys.stderr)
         return 2
     except LabeledTermError as e:
         where = getattr(args, "machine", None) or getattr(args, "pair", None) or args.command

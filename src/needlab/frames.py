@@ -104,27 +104,6 @@ def _pure(frames: Frames) -> bool:
     return all(not isinstance(f, BodF) for f in frames)
 
 
-def _scan(frames: Frames):
-    """Bracket scan of a pure frame run, inner to outer.
-
-    Returns (free_closers, unmatched_opens): positions of ArgF frames that
-    close no binder and of LamF frames that no ArgF closes.
-    """
-    stack: list[int] = []
-    free: list[int] = []
-    for i, f in enumerate(frames):
-        if isinstance(f, LamF):
-            stack.append(i)
-        elif isinstance(f, ArgF):
-            if stack:
-                stack.pop()
-            else:
-                free.append(i)
-        else:
-            raise ValueError("bracket scan over a BodF")
-    return free, stack
-
-
 def scan_demand(frames: Frames):
     """Obligation scan of a demand-shaped frame list, inner to outer.
 
@@ -160,11 +139,17 @@ def scan_demand(frames: Frames):
 
 
 def is_answer_frames(frames: Frames) -> bool:
-    """Membership in the answer-context grammar."""
-    if not _pure(frames):
-        return False
-    free, opens = _scan(frames)
-    return not free and not opens
+    """Membership in the answer-context grammar: a balanced bracket word,
+    read inner to outer."""
+    opens = 0
+    for f in frames:
+        if isinstance(f, LamF):
+            opens += 1
+        elif isinstance(f, ArgF) and opens:
+            opens -= 1
+        else:  # a BodF, or an argument frame that closes no binder
+            return False
+    return not opens
 
 
 def is_inner_partial_frames(frames: Frames) -> bool:
@@ -196,7 +181,6 @@ def split_inner_partial(frames: Frames) -> Optional[tuple[Frames, Frames, int]]:
     ok, pending, _ = scan_demand(frames)
     if not ok:
         return None
-    first_open: Optional[int] = None
     stack: list[int] = []
     for i, f in enumerate(frames):
         if isinstance(f, LamF):

@@ -336,6 +336,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
     source = MACHINE_TABLE[row.source]
     state, supply = start(t, fuel, source.inject, source.labels)
     current_image = row.image(state, supply)
+    current_key = canon(current_image)
     violations: list = []
     rule_counts: dict = {}
     transitions = 0
@@ -349,12 +350,13 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
         transitions += 1
         rule_counts[rule] = rule_counts.get(rule, 0) + 1
         next_image = row.image(state, supply)
+        next_key = canon(next_image)
         if rule in row.step_rules:
             stepped = row.one_step(current_image)
-            ok = stepped is not None and alpha_eq(stepped, next_image)
+            ok = stepped is not None and canon(stepped) == next_key
             kind = "one step"
         else:
-            ok = alpha_eq(current_image, next_image)
+            ok = current_key == next_key
             kind = "no-op"
         if not ok:
             violations.append(
@@ -367,7 +369,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
                 }
             )
             break
-        current_image = next_image
+        current_image, current_key = next_image, next_key
     return SimReport(pair, print_term(t), fuel, transitions, completed, rule_counts, violations)
 
 

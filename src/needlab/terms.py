@@ -189,7 +189,7 @@ def term_eq(t1: Term, t2: Term) -> bool:
     return True
 
 
-# Environment chains: ("nil",) terminated linked tuples (name, value, parent).
+# Environment chains: None-terminated linked tuples (name, value, parent).
 _NIL = None
 
 
@@ -499,97 +499,54 @@ def hygienize(t: Term, supply: Optional[NameSupply] = None) -> Term:
     return normalize(t, supply)[0]
 
 
-def canon(t: Term):
-    """Canonical nameless form as nested tuples.
+def canon(t: Term) -> tuple:
+    """The canonical nameless form of t: a flat preorder tuple of tokens.
 
-    Bound variables become de Bruijn indices, binders are erased, free
-    variables keep their names, and labels are numbered by first
-    occurrence in preorder.  Two terms are alpha-equivalent (with labels
-    compared modulo injective renaming) iff their canonical forms are
-    equal.
+    An application is ``"A"`` followed by its two sides, an abstraction
+    ``"L"`` (its binder erased) followed by its body, a labeled term ``"T"``,
+    its label's number by first occurrence, then its body; a bound variable
+    is its de Bruijn index (an int), a free variable its Name, and the hole
+    ``"h"``.  Every token has a fixed arity, so the form reads back uniquely,
+    and comparing or hashing it does not recurse.  Two terms are
+    alpha-equivalent, labels compared modulo one injective renaming, iff
+    their forms are equal.
     """
-    ENTER, EXIT = 0, 1
-    label_ids: dict[Name, int] = {}
-    work = [(ENTER, t, _NIL, 0)]
-    results: list = []
+    out: list = []
+    emit = out.append
+    labels: dict[Name, int] = {}
+    work = [(t, None, 0)]
+    push, pop = work.append, work.pop
     while work:
-        phase, node, env, depth = work.pop()
-        if phase == ENTER:
-            if isinstance(node, Var):
-                lvl = _chain_lookup(env, node.name)
-                if lvl is None:
-                    results.append(("f", node.name.base, node.name.index))
-                else:
-                    results.append(("b", depth - lvl - 1))
-            elif isinstance(node, Lam):
-                work.append((EXIT, node, env, depth))
-                work.append((ENTER, node.body, (node.binder, depth, env), depth + 1))
-            elif isinstance(node, App):
-                work.append((EXIT, node, env, depth))
-                work.append((ENTER, node.arg, env, depth))
-                work.append((ENTER, node.fn, env, depth))
-            elif isinstance(node, Labeled):
-                if node.label not in label_ids:
-                    label_ids[node.label] = len(label_ids)
-                work.append((EXIT, node, env, depth))
-                work.append((ENTER, node.body, env, depth))
+        node, env, depth = pop()
+        kind = node.__class__
+        if kind is App:
+            emit("A")
+            push((node.arg, env, depth))
+            push((node.fn, env, depth))
+        elif kind is Var:
+            name = node.name
+            while env is not None:  # (binder, its depth, outer env)
+                if env[0] == name:
+                    emit(depth - env[1] - 1)
+                    break
+                env = env[2]
             else:
-                results.append(("h",))
-        else:
-            if isinstance(node, Lam):
-                results.append(("L", results.pop()))
-            elif isinstance(node, App):
-                arg = results.pop()
-                fn = results.pop()
-                results.append(("A", fn, arg))
-            else:
-                results.append(("T", label_ids[node.label], results.pop()))
-    assert len(results) == 1
-    return results[0]
+                emit(name)
+        elif kind is Lam:
+            emit("L")
+            push((node.body, (node.binder, depth, env), depth + 1))
+        elif kind is Labeled:
+            emit("T")
+            emit(labels.setdefault(node.label, len(labels)))
+            push((node.body, env, depth))
+        else:  # the hole of a rendered context
+            emit("h")
+    return tuple(out)
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
-    """True iff identical after canonical nameless translation.
-
-    Bound variables are compared by binder depth, free variables by name,
-    and labels modulo one program-wide injective renaming.  Implemented as
-    a direct pair walk: canonical forms of deep terms nest too far for the
-    interpreter's comparison stack.
-    """
-    label_map: dict[Name, Name] = {}
-    label_rev: dict[Name, Name] = {}
-    stack = [(t1, t2, _NIL, _NIL, 0)]
-    while stack:
-        a, b, env1, env2, depth = stack.pop()
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Var):
-            lv1 = _chain_lookup(env1, a.name)
-            lv2 = _chain_lookup(env2, b.name)
-            if lv1 is None and lv2 is None:
-                if a.name != b.name:
-                    return False
-            elif lv1 != lv2:
-                return False
-        elif isinstance(a, Lam):
-            stack.append(
-                (a.body, b.body, (a.binder, depth, env1), (b.binder, depth, env2), depth + 1)
-            )
-        elif isinstance(a, App):
-            stack.append((a.fn, b.fn, env1, env2, depth))
-            stack.append((a.arg, b.arg, env1, env2, depth))
-        elif isinstance(a, Labeled):
-            mapped = label_map.get(a.label)
-            if mapped is None:
-                if b.label in label_rev:
-                    return False
-                label_map[a.label] = b.label
-                label_rev[b.label] = a.label
-            elif mapped != b.label:
-                return False
-            stack.append((a.body, b.body, env1, env2, depth))
-        # holes: identity handled above
-    return True
+    """Alpha-equivalence: equality of the canonical forms (see ``canon``)."""
+    return canon(t1) == canon(t2)
 
 
 def erase(t: Term) -> Term:

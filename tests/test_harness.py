@@ -264,6 +264,7 @@ def test_cli_parse_error(tmp_path):
         ["trace", "--machine", "af", "--fuel", "-1", "FILE"],
         ["check-sim", "--pair", "ck-need", "--fuel", "-1", "FILE"],
         ["diff", "--count", "0"],
+        ["diff", "--max-size", "1"],
         ["check-ud", "--max-size", "-1"],
         ["check-cr", "--depth", "-1"],
         ["eval", "--machine", "af", "MISSING"],
@@ -594,6 +595,21 @@ def test_cli_decompose_rejects_labeled_input(tmp_path, capsys):
     assert cli_main(["decompose", str(f)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("labeled term: decompose: ") and not captured.out
+
+
+def test_cli_rejects_the_hole_in_a_term_to_run(tmp_path, capsys):
+    # [] parses so that printed contexts read back, but no command runs it
+    f = tmp_path / "h.lam"
+    f.write_text("(\\x.x) []\n")
+    commands = [["eval", "--machine", m] for m in MACHINES]
+    commands += [["trace", "--machine", "ck"], ["decompose"], ["check-sim", "--pair", "ck-need"]]
+    for argv in commands:
+        assert cli_main(argv + [str(f)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hole: the hole [] ") and not captured.out, argv
+        assert len(captured.err.splitlines()) == 1
+    assert cli_main(["parse", str(f)]) == 0
+    assert capsys.readouterr().out == "(\\x.x) []\n"
 
 
 def test_labeled_output_parses_back():

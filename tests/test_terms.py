@@ -13,6 +13,7 @@ from needlab.terms import (
     NameSupply,
     Var,
     alpha_eq,
+    canon,
     erase,
     free_vars,
     freshen,
@@ -103,6 +104,53 @@ def test_alpha_eq():
     assert alpha_eq(parse(r"\x.x"), parse(r"\y.y"))
     assert not alpha_eq(parse(r"\x.\y.x"), parse(r"\a.\b.b"))
     assert alpha_eq(parse(r"(\x.x) (\y.y)"), parse(r"(\a.a) (\a.a)"))
+
+
+@pytest.mark.parametrize(
+    "left, right, equal",
+    [
+        (r"l:(\x.x) m:(\x.x)", r"l:(\x.x) l:(\x.x)", False),
+        (r"l:(\x.x) m:(\y.y)", r"m:(\x.x) l:(\y.y)", True),
+        (r"\x.\x.x", r"\a.\b.b", True),
+        (r"\x.\x.x", r"\x.\y.x", False),
+        (r"\a.\b.b", r"\x.\y.x", False),
+        (r"\x.y", r"\x.x", False),
+        ("y", "z", False),
+        (r"(\x.x) []", r"(\y.y) []", True),
+        (r"\y.[] (\x.x y)", r"\y.[] (\x.x y)", True),
+    ],
+    ids=[
+        "labels-renamed-injectively",
+        "labels-swapped",
+        "shadowing",
+        "shadowed-vs-outer",
+        "inner-vs-outer",
+        "free-vs-bound",
+        "free-names",
+        "hole",
+        "context-itself",
+    ],
+)
+def test_alpha_eq_hand_cases(left, right, equal):
+    # labels compare modulo one injective renaming, free names exactly,
+    # bound variables by binder, and holes are equal
+    t1, t2 = parse(left), parse(right)
+    assert alpha_eq(t1, t2) is alpha_eq(t2, t1) is equal
+    assert (canon(t1) == canon(t2)) is equal
+
+
+def test_canon_of_a_deep_spine_compares_and_hashes_flat():
+    # the form is one flat tuple, so == and hashing never recurse
+    x, y = Name("x"), Name("y")
+    body = Var(y)
+    for _ in range(5000):
+        body = App(body, Var(x))
+    t = Lam(x, Lam(y, body))
+    f = freshen(t, NameSupply.for_term(t))
+    assert f.binder != x
+    assert canon(t) == canon(f) and alpha_eq(t, f)
+    assert len({canon(t), canon(f)}) == 1
+    assert len(canon(t)) == term_size(t)
 
 
 def test_alpha_eq_is_equivalence():
