@@ -28,9 +28,11 @@ and pushes only frames the last state's stack did not hold, so the frames
 below its lowest cut stay the same objects at the same depths.  One
 driver per calculus (``drive_af``, ``drive_afmod``) keeps the stack for a
 whole run: the evaluators plug it only for the final answer (``build``),
-and ``harness.run_eval`` never plugs it: a ``syntax.StackPrinter`` prints
-each step's term from the stack and the contractum, keeping the printed
-piece of every frame below the cut and printing only the frames above it.
+and ``harness.run_eval`` never plugs it: ``syntax.StackPrinter``, the one
+printer of frame stacks, prints each step's term from the stack and the
+contractum, keeping the printed piece of every frame below the cut (a
+demand frame's piece, with its contexts, included) and printing only the
+frames above it.
 step_af and step_afmod remain the single-step API; they search from an
 empty stack, after checking and hygienizing the term they are given.
 """

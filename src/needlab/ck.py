@@ -15,7 +15,6 @@ efficient evaluator (lookupvar re-validates context grammars each time).
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -170,37 +169,24 @@ def build_step_term(s: CKState, supply: Optional[NameSupply] = None) -> Term:
     supply; images are compared modulo label renaming."""
     if supply is None:
         supply = NameSupply.for_terms((build(s),))
-    fs = deque(s.frames)
+    fs = list(s.frames)  # innermost first; fs[i:] is still to replay
+    i = 0
     e: Term = s.control
-    while fs:
-        f = fs.popleft()
+    while i < len(fs):
+        f = fs[i]
+        i += 1
         if isinstance(f, ArgF):
             e = App(e, f.term)
         elif isinstance(f, BodF):
-            replay = list(f.inner) + [LamF(f.binder)] + list(f.between) + [ArgF(e)]
-            fs.extendleft(reversed(replay))
+            fs[i:i] = (*f.inner, LamF(f.binder), *f.between, ArgF(e))
             e = Var(f.binder)
         else:
-            depth = 0
-            arg_at = None
-            for i, g in enumerate(fs):
-                if isinstance(g, BodF):
-                    break
-                if isinstance(g, LamF):
-                    depth += 1
-                elif depth == 0:
-                    arg_at = i
-                    break
-                else:
-                    depth -= 1
+            arg_at = matching_argument(fs, i - 1)
             assert arg_at is not None, "binder frame without a matching argument"
-            between = tuple(fs[i] for i in range(arg_at))
-            assert is_answer_frames(between), "context before the argument not an answer"
-            argument = fs[arg_at].term
+            assert is_answer_frames(fs[i:arg_at]), "context before the argument not an answer"
             label = supply.fresh(f.binder.base)
+            argument = fs.pop(arg_at).term
             e = subst_shared(e, f.binder, Labeled(label, argument), supply)
-            remainder = list(fs)[arg_at + 1 :]
-            fs = deque(list(between) + remainder)
     return e
 
 

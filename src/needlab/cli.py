@@ -2,8 +2,9 @@
 
 Exit status is 0 only when the requested check reports no mismatches or
 violations; parse errors, open terms, a FILE that cannot be read and bad
-usage (including a negative fuel or depth, a count or size below 1, or a
-diff size below 2) exit 2 with a message and no traceback, and so do a
+usage (including a negative fuel or depth, a check-sim fuel or a count
+below 1, or a size below 2, under which an audit would check no term)
+exit 2 with a message and no traceback, and so do a
 term to run that holds the hole ``[]`` and a labeled term that is
 inconsistent or given to a machine other than lstep.  Output cut short
 by a closed pipe (``needlab trace ... | head``) exits 1 without a traceback.
@@ -154,18 +155,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-sim", help="per-step machine correspondence check")
     sp.add_argument("--pair", required=True, choices=harness.SIM_PAIRS)
-    sp.add_argument("--fuel", type=_at_least(0), default=1000)
+    sp.add_argument("--fuel", type=_at_least(1), default=1000)
     sp.add_argument("file", help="source file, or - for stdin")
     sp.set_defaults(
         fn=_report(lambda a: harness.check_simulation(_load_term(a), a.pair, a.fuel))
     )
 
     sp = sub.add_parser("check-ud", help="unique-decomposition audit vs the oracle")
-    sp.add_argument("--max-size", type=_at_least(1), default=9)
+    sp.add_argument("--max-size", type=_at_least(2), default=9)
     sp.set_defaults(fn=_report(lambda a: harness.check_unique_decomposition(a.max_size)))
 
     sp = sub.add_parser("check-cr", help="desk-scale joinability audit")
-    sp.add_argument("--max-size", type=_at_least(1), default=8)
+    sp.add_argument("--max-size", type=_at_least(2), default=8)
     sp.add_argument("--depth", type=_at_least(0), default=10)
     sp.set_defaults(fn=_report(lambda a: harness.check_confluence(a.max_size, a.depth)))
 

@@ -111,31 +111,32 @@ def scan_demand(frames: Frames):
     its body context (binders awaiting arguments from further out, like
     the inner partial contexts the calculus splits off) propagate outward
     as open obligations at the BodF's position.  Each argument frame
-    closes the nearest obligation or, with none open, counts as a free
-    closer.  Obligations can never cross a BodF: the outer partial
-    contexts that discharge them are built from binder/argument frames
-    only.  Returns (valid, pending, free_count).
+    closes the nearest obligation, if one is open.  Obligations can never
+    cross a BodF: the outer partial contexts that discharge them are built
+    from binder/argument frames only.  Returns (valid, pending,
+    first_open), where first_open is the position of the first binder
+    after the last BodF that nothing closes, or None.
     """
-    open_count = 0
-    free = 0
-    for f in frames:
+    opens = 0  # binders after the last BodF that nothing has closed yet
+    pending = 0  # obligations the last BodF left open
+    first_open = None
+    for i, f in enumerate(frames):
         if isinstance(f, LamF):
-            open_count += 1
+            if not opens:
+                first_open = i
+            opens += 1
         elif isinstance(f, ArgF):
-            if open_count:
-                open_count -= 1
-            else:
-                free += 1
+            if opens:
+                opens -= 1
+            elif pending:
+                pending -= 1
         else:
-            if open_count:
-                return False, 0, 0
-            if not is_answer_frames(f.between):
-                return False, 0, 0
-            ok, k, _ = scan_demand(f.inner)
+            if opens or pending or not is_answer_frames(f.between):
+                return False, 0, None
+            ok, pending, _ = scan_demand(f.inner)
             if not ok:
-                return False, 0, 0
-            open_count += k
-    return True, open_count, free
+                return False, 0, None
+    return True, pending + opens, first_open if opens else None
 
 
 def is_answer_frames(frames: Frames) -> bool:
@@ -178,19 +179,9 @@ def split_inner_partial(frames: Frames) -> Optional[tuple[Frames, Frames, int]]:
     for the composite to remain an answer context.  Returns None if the
     context fails the demand grammar.
     """
-    ok, pending, _ = scan_demand(frames)
+    ok, pending, first_open = scan_demand(frames)
     if not ok:
         return None
-    stack: list[int] = []
-    for i, f in enumerate(frames):
-        if isinstance(f, LamF):
-            stack.append(i)
-        elif isinstance(f, ArgF):
-            if stack:
-                stack.pop()
-        else:
-            stack = []
-    first_open = stack[0] if stack else None
     if first_open is None:
         return frames, (), pending
     suffix = frames[first_open:]

@@ -12,16 +12,15 @@ the machine's driver, which its evaluator runs in ``results.evaluate``.
 
 Traces print every state, and consecutive states share everything outside
 the contraction site.  ``run_eval`` prints through one ``PrintMemo`` per
-trace, so a node or frame printed for a recent state is not printed again.
-need-sr's and af's states are their driver's frame stack and a contractum:
-a ``StackPrinter`` keeps one piece per frame and prints only the frames
-pushed since the last state, and the contractum.  ck's are frame tuples
-with shared suffixes, printed frame by frame (``print_plugged``) without
-plugging.  A ckh step pushes or pops one frame and names the one heap
-variable it changed, so ``_CKHPrinter`` prints that frame and that heap
-entry, and ``buildL(state, reuse)`` closes again only what the step
-changed: every other labeled node stays the same object, which the memo
-prints as stored text.
+trace, so a node printed for a recent state is not printed again, and each
+frame stack through one ``StackPrinter``, which keeps one piece per frame
+and prints only the frames pushed since the last state: need-sr's and af's
+driver stacks, and ck's and ckh's frame tuples read reversed.  A ckh step
+pushes or pops one frame and names the one heap variable it changed, so
+``_CKHPrinter`` prints that frame and that heap entry, and
+``buildL(state, reuse)`` closes again only what the step changed: every
+other labeled node stays the same object, which the memo prints as stored
+text.
 
 Answer comparison works on the value component: by-need answers keep
 their binding context, so the context's bindings are substituted into the
@@ -42,9 +41,8 @@ from .frames import ArgF, inject
 from .gen import enumerate_closed, gen_closed
 from .oracle import decomposition_matches, enumerate_decompositions
 from .results import Done, start
-from .syntax import PrintMemo, StackPrinter, print_plugged, print_term
+from .syntax import PrintMemo, StackPrinter, print_term
 from .terms import (
-    HOLE,
     NameSupply,
     Term,
     alpha_eq,
@@ -95,47 +93,44 @@ class Trace:
         }
 
 
+def _ckh_frame(f, level: int, memo: Optional[PrintMemo]):
+    """A ckh frame as a StackPrinter's right piece: innermost first, after ", "."""
+    text = f"arg({print_term(f.term, memo)})" if isinstance(f, ArgF) else f"var({f.name})"
+    return "", ", " + text, level
+
+
 class _CKHPrinter:
     """Prints the successive states of one store-machine run.
 
-    It keeps each frame's and each heap entry's text, frames outermost
-    first and entries in heap order.  The first state is printed whole.
-    After that, a step pushes or pops one frame and binds, checks out or
-    rebinds one heap name (``CKHState.changed``): that frame and that
-    entry are printed, and a rebound name moves to the end of the heap
-    in both.  memo is the trace's PrintMemo.
+    Its frames print through a StackPrinter.  It keeps each heap entry's
+    text in heap order; the first state's heap is printed whole.  After
+    that, a step binds, checks out or rebinds one heap name
+    (``CKHState.changed``): that entry is printed, and a rebound name moves
+    to the end of the heap.  memo is the trace's PrintMemo.
     """
 
     def __init__(self, memo: Optional[PrintMemo] = None):
         self.memo = memo
-        self.frames: Optional[list] = None
-        self.heap: dict = {}
-
-    def _frame(self, f) -> str:
-        return f"arg({print_term(f.term, self.memo)})" if isinstance(f, ArgF) else f"var({f.name})"
+        self.frames = StackPrinter(memo, text=_ckh_frame)
+        self.heap: Optional[dict] = None
 
     def _entry(self, name, bound: Term) -> None:
         self.heap[name] = f"{name} -> {print_term(bound, self.memo)}"
 
     def __call__(self, state: ckh.CKHState) -> str:
-        frames = self.frames
-        if frames is None:
-            frames = self.frames = [self._frame(f) for f in reversed(state.frames)]
+        if self.heap is None:
+            self.heap = {}
             for name, bound in state.heap.items():
                 self._entry(name, bound)
         else:
-            depth = len(state.frames)
-            if depth > len(frames):
-                frames.append(self._frame(state.frames[0]))
-            elif depth < len(frames):
-                frames.pop()
             name = state.changed
             if name in state.heap:
                 self._entry(name, state.heap[name])
             else:
                 self.heap.pop(name, None)
+        _, frames, _ = self.frames.context(state.frames[::-1])
         return (
-            f"<{print_term(state.control, self.memo)} | ({', '.join(reversed(frames))})"
+            f"<{print_term(state.control, self.memo)} | ({frames[2:]})"
             f" | {{{', '.join(self.heap.values())}}}>"
         )
 
@@ -155,10 +150,13 @@ def _print_stack(memo: PrintMemo):
 
 
 def _print_ck(memo: PrintMemo):
-    def render(s):
-        return f"<{print_term(s.control, memo)} | {print_plugged(s.frames, HOLE, memo)}>"
+    printer = StackPrinter(memo)
 
-    return render, lambda s: print_plugged(s.frames, s.control, memo)
+    def render(s):
+        left, right, _ = printer.context(s.frames[::-1])
+        return f"<{print_term(s.control, memo)} | {left}[]{right}>"
+
+    return render, lambda s: printer(s.frames[::-1], s.control)
 
 
 def _print_ckh(memo: PrintMemo):

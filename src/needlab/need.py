@@ -55,10 +55,6 @@ from .terms import (
 )
 
 
-def is_value(t: Term) -> bool:
-    return isinstance(t, Lam)
-
-
 @dataclass(frozen=True, eq=False)
 class AnswerContext:
     """Nesting of binder/argument layers; plugging a value yields an answer."""

@@ -17,10 +17,10 @@ labeled ones included, always parse back.
 
 Traces print one state after another, and consecutive states share most of
 their nodes.  ``print_term`` and ``print_plugged`` take an optional
-``PrintMemo`` that carries the printed text of recent states' nodes and
-frames, so that a state costs only what changed.  ``StackPrinter`` prints
-the states of one frame stack that steps cut and grow at the top, keeping
-one piece per frame.
+``PrintMemo`` that carries the printed text of recent states' compound
+nodes, so that a state costs only what changed.  ``StackPrinter``, the one
+frame-stack printer, prints the states of one stack that steps cut and
+grow at the top, keeping each frame's piece with the frame.
 """
 from __future__ import annotations
 
@@ -198,8 +198,8 @@ _END = (_STORE, None)
 class PrintMemo:
     """Printed text carried from one state of a trace to the next.
 
-    Compound nodes map to their bare text (the parent adds parentheses) and
-    (frame, level) pairs to their pieces; both are matched by identity.
+    Compound nodes map to their bare text (the parent adds parentheses),
+    matched by identity; frames keep their pieces in a ``StackPrinter``.
     cur holds the entries the state being printed used or stored, prev
     those of earlier states.  A node that hits is looked up, not walked,
     so the nodes inside it are not used again; they stay in prev, and a
@@ -215,14 +215,6 @@ class PrintMemo:
         self.prev: dict = {}
         self.cur: dict = {}
         self.marks: list = []  # node and start in out of each open _END
-
-    def get(self, key):
-        text = self.cur.get(key)
-        if text is None:
-            text = self.prev.get(key)
-            if text is not None:
-                self.cur[key] = text
-        return text
 
     def next_state(self) -> None:
         cur = self.cur
@@ -313,28 +305,7 @@ def _print(t: Term, level: int, memo: PrintMemo | None) -> str:
 def print_plugged(frames: Frames, t: Term, memo: PrintMemo | None = None) -> str:
     """print_term(plug(frames, t), memo), printed frame by frame without
     building the plugged term."""
-    lefts, rights, level = _context_text(frames, _TOP, memo)
-    lefts.append(_print(t, level, memo))
-    lefts += rights
-    return "".join(lefts)
-
-
-def _context_text(frames: Frames, level: int, memo: PrintMemo | None):
-    """The frames printed at level: their left pieces outermost first,
-    their right pieces innermost first, and the level of the hole."""
-    lefts: list[str] = []
-    rights: list[str] = []
-    for f in reversed(frames):
-        piece = None if memo is None else memo.get((f, level))
-        if piece is None:
-            piece = _frame_text(f, level, memo)
-            if memo is not None:
-                memo.cur[(f, level)] = piece
-        left, right, level = piece
-        lefts.append(left)
-        rights.append(right)
-    rights.reverse()
-    return lefts, rights, level
+    return StackPrinter(memo)(frames[::-1], t)
 
 
 def _frame_text(f, level: int, memo: PrintMemo | None):
@@ -348,38 +319,38 @@ def _frame_text(f, level: int, memo: PrintMemo | None):
         paren = level > _TOP
         piece = (("(" if paren else "") + f"\\{f.binder}.", ")" if paren else "", _TOP)
     else:  # BodF: the hole is the argument of between[\\x. inner[x]]
-        lefts, rights, hole = _context_text(f.between, _OPER, memo)
+        left, right, hole = StackPrinter(memo, _OPER).context(f.between[::-1])
         lam = f"\\{f.binder}." + print_plugged(f.inner, Var(f.binder), memo)
-        lefts.append(f"({lam})" if hole > _TOP else lam)
-        lefts += rights
+        operator = left + (f"({lam})" if hole > _TOP else lam) + right
         paren = level > _OPER
-        piece = (("(" if paren else "") + "".join(lefts) + " ", ")" if paren else "", _ATOM)
+        piece = (("(" if paren else "") + operator + " ", ")" if paren else "", _ATOM)
     return piece
 
 
 class StackPrinter:
-    """print_plugged for the successive states of one outermost-first frame
-    stack that each step cuts and then grows at its top, as the need-sr and
-    af drivers keep it.
-
-    The printer keeps one piece per frame, with the frame.  A step pushes
-    only frames the last state's stack did not hold, so the frames below its
-    lowest cut are the ones that are still the same object at the same
-    depth, and they keep
+    """Prints the states of one outermost-first frame stack that each step
+    cuts and then grows at its top: need-sr's and af's driver stacks, ck's
+    and ckh's frame tuples reversed.  A step pushes only frames the last
+    state's stack did not hold, so the frames below its lowest cut are the
+    ones that are still the same object at the same depth, and they keep
     their pieces: a state prints the frames above that depth, found from
-    the top down, and its term.
+    the top down.  level is the outermost frame's, and text(frame, level,
+    memo) gives a frame's (left, right, level of the hole) pieces.
     """
 
-    __slots__ = ("memo", "frames", "lefts", "rights", "levels")
+    __slots__ = ("memo", "text", "frames", "lefts", "rights", "levels")
 
-    def __init__(self, memo: PrintMemo | None = None):
+    def __init__(self, memo: PrintMemo | None = None, level: int = _TOP, text=_frame_text):
         self.memo = memo
+        self.text = text
         self.frames: list = []
         self.lefts: list[str] = []
         self.rights: list[str] = []
-        self.levels = [_TOP]  # the level each frame is printed at, then the hole's
+        self.levels = [level]  # the level each frame is printed at, then the hole's
 
-    def __call__(self, stack: list, t: Term) -> str:
+    def context(self, stack) -> tuple[str, str, int]:
+        """The stack's left pieces outermost first, its right pieces
+        innermost first, and the level of the hole."""
         frames, lefts, rights, levels = self.frames, self.lefts, self.rights, self.levels
         kept = min(len(frames), len(stack))
         while kept and stack[kept - 1] is not frames[kept - 1]:
@@ -387,9 +358,13 @@ class StackPrinter:
         del frames[kept:], lefts[kept:], rights[kept:], levels[kept + 1 :]
         level = levels[kept]
         for f in stack[kept:]:
-            left, right, level = _frame_text(f, level, self.memo)
+            left, right, level = self.text(f, level, self.memo)
             frames.append(f)
             lefts.append(left)
             rights.append(right)
             levels.append(level)
-        return "".join(lefts) + _print(t, level, self.memo) + "".join(reversed(rights))
+        return "".join(lefts), "".join(reversed(rights)), level
+
+    def __call__(self, stack, t: Term) -> str:
+        left, right, level = self.context(stack)
+        return left + _print(t, level, self.memo) + right

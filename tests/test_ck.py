@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from needlab.ck import (
@@ -22,6 +24,7 @@ from needlab.frames import (
     is_answer_frames,
     is_eval_frames,
     is_inner_partial_frames,
+    split_inner_partial,
     split_outer_partial,
 )
 from needlab.need import eval_sr, step_sr
@@ -70,6 +73,77 @@ def test_classify_frames():
     c = (ArgF(e),)
     assert is_eval_frames(c) and not is_answer_frames(c)
     assert split_outer_partial(c, 1) == (c, ())
+
+
+def _split_inner_partial_two_pass(frames):
+    # the reference: one scan for validity and obligations, then a second
+    # walk for the binders after the last BodF that nothing closes
+    def scan(frames):
+        open_count = 0
+        for f in frames:
+            if isinstance(f, LamF):
+                open_count += 1
+            elif isinstance(f, ArgF):
+                open_count = max(open_count - 1, 0)
+            else:
+                if open_count or not is_answer_frames(f.between):
+                    return False, 0
+                ok, k = scan(f.inner)
+                if not ok:
+                    return False, 0
+                open_count += k
+        return True, open_count
+
+    ok, pending = scan(frames)
+    if not ok:
+        return None
+    stack = []
+    for i, f in enumerate(frames):
+        if isinstance(f, LamF):
+            stack.append(i)
+        elif isinstance(f, ArgF):
+            if stack:
+                stack.pop()
+        else:
+            stack = []
+    if not stack:
+        return frames, (), pending
+    return frames[: stack[0]], frames[stack[0] :], pending
+
+
+def _random_word(rng, n, depth):
+    # binder and argument frames, and now and then a BodF whose between is
+    # usually balanced, so that many words pass the demand grammar
+    e = Var(Name("w"))
+    word = []
+    for _ in range(n):
+        pick = rng.random()
+        if depth and pick < 0.12:
+            if rng.random() < 0.8:
+                between = [LamF(Name("b")), ArgF(e)] * rng.randrange(3)
+            else:
+                between = _random_word(rng, rng.randrange(4), 0)
+            inner = _random_word(rng, rng.randrange(5), depth - 1)
+            word.append(BodF(Name("y"), tuple(inner), tuple(between)))
+        elif pick < 0.56:
+            word.append(LamF(Name(rng.choice("xyz"))))
+        else:
+            word.append(ArgF(e))
+    return word
+
+
+def test_split_inner_partial_matches_two_pass_reference():
+    rng = random.Random(11)
+    valid = split = nested = 0
+    for _ in range(20_000):
+        frames = tuple(_random_word(rng, rng.randrange(9), 2))
+        got = split_inner_partial(frames)
+        assert got == _split_inner_partial_two_pass(frames), frames
+        if got is not None:
+            valid += 1
+            split += bool(got[1])
+            nested += any(isinstance(f, BodF) for f in frames) and got[2] > 0
+    assert valid > 10_000 and split > 5000 and nested > 1000, (valid, split, nested)
 
 
 def test_step_rules_golden():

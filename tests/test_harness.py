@@ -269,6 +269,10 @@ def test_cli_parse_error(tmp_path):
         ["check-cr", "--depth", "-1"],
         ["eval", "--machine", "af", "MISSING"],
         ["parse", "MISSING"],
+        # parameters under which an audit would check nothing
+        ["check-ud", "--max-size", "1"],
+        ["check-cr", "--max-size", "1"],
+        ["check-sim", "--pair", "ck-need", "--fuel", "0", "FILE"],
     ],
 )
 def test_cli_bad_usage_exits_2(tmp_path, capsys, argv):
@@ -348,6 +352,17 @@ def test_run_eval_ckh_render_cache():
             rules.add(rule)
         assert ckh.step_ckh(state, supply) is None
     assert {"descend-lam", "lookupvar", "updateheap"} <= rules
+
+
+def test_ckh_trace_prints_one_frame_per_step(monkeypatch):
+    # a store-machine step pushes or pops one frame: its trace prints at
+    # most one frame piece per step, beyond the initial state's frames
+    calls = []
+    piece = harness._ckh_frame
+    monkeypatch.setattr(harness, "_ckh_frame", lambda *a: calls.append(a) or piece(*a))
+    tr = run_eval(LEQ, "ckh", 10_000)
+    assert tr.verdict == "done" and len(tr.steps) > 100
+    assert 0 < len(calls) <= len(tr.steps) + len(ckh.inject_ckh(LEQ).frames)
 
 
 def test_cli_trace_into_closed_pipe(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from needlab import af, ck, ckh
 from needlab.frames import ArgF, BodF, LamF, plug
 from needlab.gen import gen_closed
-from needlab.harness import MACHINE_TABLE, MACHINES
-from needlab.syntax import ParseError, PrintMemo, parse, print_plugged, print_term
+from needlab.harness import MACHINE_TABLE, MACHINES, _CKHPrinter, _render_ckh
+from needlab.syntax import ParseError, PrintMemo, StackPrinter, parse, print_plugged, print_term
 from needlab.terms import HOLE, App, Labeled, Lam, Name, NameSupply, Var, hygienize, term_eq
 
 
@@ -174,3 +174,37 @@ def test_print_plugged_matches_plugged_term():
     fillers = {"_Hole", "Var", "Lam", "App", "Labeled"}
     assert {(k, f) for k in ("ArgF", "LamF", "BodF", None) for f in fillers} <= kinds
     assert full_bodies > 100
+
+
+def _cut_and_push(rng, stack, push):
+    # one step of a driver: cut the stack at a random depth, push new
+    # frames; whether it cut below the last state's top and then grew
+    depth = len(stack)
+    cut = rng.randrange(depth + 1)
+    del stack[cut:]
+    stack += push(rng, rng.randrange(4))
+    return cut < depth and len(stack) > cut
+
+
+def _ckh_frames(rng, n):
+    return [ArgF(_random_term(rng, 3)) if rng.random() < 0.5 else ckh.VarF(Name("v")) for _ in range(n)]
+
+
+def test_stack_printer_matches_plugged_term():
+    # each state of a stack that steps cut and grow prints as its plugged
+    # term does; store-machine frames print as a fresh rendering does
+    rng = random.Random(13)
+    regrown = 0
+    for _ in range(2000):
+        memo = PrintMemo()
+        printer, ckh_printer = StackPrinter(memo), _CKHPrinter(memo)
+        stack, ckh_stack = [], []
+        for _ in range(rng.randrange(1, 6)):
+            regrown += _cut_and_push(rng, stack, lambda rng, n: _random_frames(rng, n, 2))
+            regrown += _cut_and_push(rng, ckh_stack, _ckh_frames)
+            t = rng.choice([HOLE, Var(Name("v")), _random_term(rng, 3)])
+            assert printer(stack, t) == print_term(plug(tuple(reversed(stack)), t))
+            state = ckh.CKHState(t, tuple(reversed(ckh_stack)))
+            assert ckh_printer(state) == _render_ckh(state)
+            memo.next_state()
+    assert regrown > 1000
