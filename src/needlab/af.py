@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from .frames import ArgF, BodF, Frames, LamF, build, inject, plug
+from .frames import ArgF, BodF, Frames, LamF, binder_at, build, inject, plug
 from .results import evaluate
 from .terms import (
     App,
@@ -53,6 +53,7 @@ from .terms import (
     freshen,
     normalize,
     subst,
+    subst_normal,
 )
 
 DEREF, LIFT, ASSOC = "deref", "lift", "assoc"
@@ -85,7 +86,7 @@ def is_af_answer(t: Term) -> bool:
 
 
 def _step(
-    stack: list, control: Term, modified: bool, supply: NameSupply
+    stack: list, where: dict, control: Term, modified: bool, supply: NameSupply
 ) -> tuple[Optional[str], Term]:
     """Search for the standard redex of plug(stack, control) and contract it.
 
@@ -98,25 +99,22 @@ def _step(
     whole reduct.  A deref rewrites only the demanded occurrence: the stack
     holds the path to it, with the call kept, and the contractum is the
     fresh copy of the value.  On an answer the rule is None, and the stack
-    holds the answer context around the returned value.
+    holds the answer context around the returned value.  where maps each
+    binder to the position of the last LamF pushed for it (``binder_at``).
     """
     while True:
         if isinstance(control, App):
             stack.append(ArgF(control.arg))
             control = control.fn
         elif isinstance(control, Lam) and stack and isinstance(stack[-1], ArgF):
+            where[control.binder] = len(stack)
             stack.append(LamF(control.binder))
             control = control.body
         elif isinstance(control, Lam):
-            return _resolve_value(control, stack, modified, supply)
+            return _resolve_value(control, stack, where, modified, supply)
         elif isinstance(control, Var):
             name = control.name
-            lam_at = None
-            for j in range(len(stack) - 1, -1, -1):
-                f = stack[j]
-                if isinstance(f, LamF) and f.binder == name:
-                    lam_at = j
-                    break
+            lam_at = binder_at(stack, name, where)
             if lam_at is None:
                 raise OpenTermError(f"demanded variable {name} is unbound")
             assert lam_at > 0 and isinstance(stack[lam_at - 1], ArgF)
@@ -128,7 +126,7 @@ def _step(
             del stack[lam_at - 1 :]
             if is_value(arg):
                 body = plug(inner, Var(name))
-                return BETA_NEED_MOD, subst(body, name, arg, supply)
+                return BETA_NEED_MOD, subst_normal(body, name, arg, supply)
             split = af_answer_split(arg)
             if split is not None:
                 if modified:
@@ -150,7 +148,7 @@ def _step(
             raise AssertionError(f"reduction reached {type(control).__name__}")
 
 
-def _resolve_value(v: Term, stack: list, modified: bool, supply: NameSupply):
+def _resolve_value(v: Term, stack: list, where: dict, modified: bool, supply: NameSupply):
     # consume answer layers: each is an ArgF directly under its LamF
     i = len(stack)
     while i >= 2 and isinstance(stack[i - 1], LamF) and isinstance(stack[i - 2], ArgF):
@@ -177,11 +175,15 @@ def _resolve_value(v: Term, stack: list, modified: bool, supply: NameSupply):
     assert isinstance(boundary, BodF) and not boundary.between
     if not pair_frames and not modified:
         # argument reduced to a bare value: deref, the call back on the stack
+        base = len(stack)
         stack += (ArgF(v), LamF(boundary.binder), *reversed(boundary.inner))
+        for k in range(base + 1, len(stack)):
+            if stack[k].__class__ is LamF:
+                where[stack[k].binder] = k
         return DEREF, freshen(v, supply)
     call_body = plug(boundary.inner, Var(boundary.binder))
     if not pair_frames:
-        return BETA_NEED_MOD, subst(call_body, boundary.binder, v, supply)
+        return BETA_NEED_MOD, subst_normal(call_body, boundary.binder, v, supply)
     if modified:
         return ASSOC_MOD, plug(pair_frames, App(Lam(boundary.binder, call_body), v))
     outer_lam = pair_frames[-2]
@@ -199,7 +201,7 @@ def _step_from_root(t: Term, modified: bool, supply: Optional[NameSupply]):
     if found.free:
         raise OpenTermError("a standard step requires a closed term")
     stack: list = []
-    rule, new = _step(stack, t, modified, supply)
+    rule, new = _step(stack, {}, t, modified, supply)
     return None if rule is None else (rule, build((stack, new)))
 
 
@@ -224,8 +226,9 @@ def _drive(state: tuple[list, Term], supply: NameSupply, modified: bool):
     the next step.  Steps preserve closedness and hygiene: no re-check.
     """
     stack, control = state
+    where: dict = {}
     while True:
-        rule, control = _step(stack, control, modified, supply)
+        rule, control = _step(stack, where, control, modified, supply)
         yield rule, (stack, control)
         if rule is None:
             return
@@ -244,9 +247,12 @@ def eval_afmod(t: Term, fuel: int):
 
 
 def step_name(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
-    """One call-by-name step: leftmost-outermost beta, absent on values."""
+    """One call-by-name step: leftmost-outermost beta, absent on values.
+    With a supply, t is a run's normalized state (``subst_normal``); without
+    one, t may not be, and fresh names are minted above every name of t."""
+    substitute = subst_normal
     if supply is None:
-        supply = NameSupply.for_term(t)
+        supply, substitute = NameSupply.for_term(t), subst
     spine: list[App] = []
     c = t
     while isinstance(c, App):
@@ -257,7 +263,7 @@ def step_name(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     if not spine:
         return None
     redex_app = spine.pop()
-    new = subst(c.body, c.binder, redex_app.arg, supply)
+    new = substitute(c.body, c.binder, redex_app.arg, supply)
     for node in reversed(spine):
         new = App(new, node.arg)
     return new

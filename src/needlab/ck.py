@@ -15,7 +15,6 @@ efficient evaluator (lookupvar re-validates context grammars each time).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .frames import (
@@ -34,6 +33,7 @@ from .frames import (
 from .results import evaluate, iterate
 from .terms import (
     App,
+    Frozen,
     Labeled,
     Lam,
     NameSupply,
@@ -41,7 +41,7 @@ from .terms import (
     Term,
     Var,
     is_closed,
-    subst,
+    subst_normal,
     subst_shared,
 )
 
@@ -53,10 +53,8 @@ PUSHARG, DESCEND_LAM, LOOKUPVAR, BETA_NEED_CK = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class CKState:
-    control: Term
-    frames: Frames = ()
+class CKState(Frozen, frames=()):
+    __slots__ = ("control", "frames")
 
 
 class IllFormedState(AssertionError):
@@ -88,11 +86,12 @@ def buildF(frames: Frames) -> Term:
 
 def subst_frames(frames: Frames, x, v: Term, supply: NameSupply) -> Frames:
     """Map substitution across every term embedded in a frame list; every
-    inserted copy is freshened (the original value lives in the control)."""
+    inserted copy is freshened (the original value lives in the control),
+    and no binder in a normalized state's frames captures."""
     out = []
     for f in frames:
         if isinstance(f, ArgF):
-            out.append(ArgF(subst(f.term, x, v, supply, keep_first=False)))
+            out.append(ArgF(subst_normal(f.term, x, v, supply, keep_first=False)))
         elif isinstance(f, LamF):
             out.append(f)
         else:

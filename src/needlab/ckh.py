@@ -18,13 +18,14 @@ them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
-from .frames import ArgF, Frames
+from .frames import ArgF
 from .results import evaluate, iterate
 from .terms import (
     App,
+    Frozen,
     Labeled,
     Lam,
     Name,
@@ -35,6 +36,7 @@ from .terms import (
     is_closed,
     rewrite,
     subst,
+    subst_normal,
 )
 
 PUSHARG, DESCEND_LAM, LOOKUPVAR, UPDATEHEAP = (
@@ -45,17 +47,16 @@ PUSHARG, DESCEND_LAM, LOOKUPVAR, UPDATEHEAP = (
 )
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class VarF:
-    name: Name
+class VarF(Frozen):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, eq=False)
-class CKHState:
-    control: Term
-    frames: Frames = ()
-    heap: dict = field(default_factory=dict)  # Name -> Term, insertion ordered
-    changed: Optional[Name] = None  # the heap name the last step bound, checked out or rebound
+class CKHState(Frozen, frames=(), heap=MappingProxyType({}), changed=None):
+    """heap maps each heap name to its binding, insertion ordered, and a
+    step copies it rather than change it; changed is the heap name the last
+    step bound, checked out or rebound."""
+
+    __slots__ = ("control", "frames", "heap", "changed")
 
 
 class UnboundVariable(AssertionError):
@@ -91,8 +92,9 @@ def _state_terms(s: CKHState):
 def step_ckh(s: CKHState, supply: Optional[NameSupply] = None) -> Optional[tuple[str, CKHState]]:
     """One store-machine transition; absent iff the state is final.  The
     next state names the heap variable the step bound, checked out or
-    rebound.  Without a supply, fresh names are minted above every name of
-    the state."""
+    rebound.  With a supply, the state is a run's, whose control is
+    normalized (``subst_normal``); without one, it may not be, and fresh
+    names are minted above every name of the state."""
     control, frames, heap = s.control, s.frames, s.heap
     if isinstance(control, App):
         return PUSHARG, CKHState(control.fn, (ArgF(control.arg),) + frames, heap)
@@ -101,10 +103,11 @@ def step_ckh(s: CKHState, supply: Optional[NameSupply] = None) -> Optional[tuple
             return None
         top = frames[0]
         if isinstance(top, ArgF):
-            if supply is None:
-                supply = NameSupply.for_terms(_state_terms(s))
+            substitute = subst_normal
+            if supply is None:  # a one-shot step: the state may not be normalized
+                supply, substitute = NameSupply.for_terms(_state_terms(s)), subst
             fresh = supply.fresh(control.binder.base)
-            body = subst(control.body, control.binder, Var(fresh), supply)
+            body = substitute(control.body, control.binder, Var(fresh), supply)
             new_heap = dict(heap)
             new_heap[fresh] = top.term
             return DESCEND_LAM, CKHState(body, frames[1:], new_heap, fresh)

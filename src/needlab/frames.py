@@ -28,34 +28,24 @@ never pair with an application outside it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .terms import HOLE, App, Lam, Name, Term, Var
+from .terms import HOLE, App, Frozen, Lam, Name, Term, Var
 
 
-class Frame:
-    __slots__ = ()
+class ArgF(Frozen):
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class ArgF(Frame):
-    term: Term
+class LamF(Frozen):
+    __slots__ = ("binder",)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class LamF(Frame):
-    binder: Name
+class BodF(Frozen):
+    __slots__ = ("binder", "inner", "between")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class BodF(Frame):
-    binder: Name
-    inner: tuple
-    between: tuple
-
-
-Frames = tuple  # tuple[Frame, ...], innermost first
+Frames = tuple  # of ArgF, LamF and BodF frames, innermost first
 
 
 def plug(frames: Frames, t: Term) -> Term:
@@ -80,6 +70,22 @@ def build(state: tuple[list, Term]) -> Term:
     """The term of a stack driver's state plugged into its stack."""
     stack, sub = state
     return plug(tuple(reversed(stack)), sub)
+
+
+def binder_at(stack: list, name: Name, where: Optional[dict] = None) -> Optional[int]:
+    """Position of the topmost LamF binding name in an outermost-first stack:
+    where[name], the last position a LamF for name was pushed at, if one
+    still sits there (no later push put one above it), else a scan's."""
+    i = where.get(name) if where else None
+    if i is not None and i < len(stack):
+        f = stack[i]
+        if f.__class__ is LamF and f.binder == name:
+            return i
+    for j in range(len(stack) - 1, -1, -1):
+        f = stack[j]
+        if isinstance(f, LamF) and f.binder == name:
+            return j
+    return None
 
 
 def context_term(frames: Frames) -> Term:

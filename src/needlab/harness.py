@@ -275,7 +275,8 @@ class SimReport(_Report):
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        # a run that made no transition and did not finish checked nothing
+        return not self.violations and (self.transitions > 0 or self.completed)
 
 
 @dataclass(frozen=True)
@@ -475,7 +476,7 @@ class UDReport(_Report):
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and self.terms > 0
 
 
 def check_unique_decomposition(max_size: int) -> UDReport:
@@ -520,7 +521,7 @@ class CRReport(_Report):
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and self.terms > 0
 
 
 def check_confluence(max_size: int, join_depth: int) -> CRReport:

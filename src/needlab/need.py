@@ -31,6 +31,7 @@ from .frames import (
     BodF,
     Frames,
     LamF,
+    binder_at,
     build,
     context_term,
     inject,
@@ -51,7 +52,7 @@ from .terms import (
     canon,
     is_closed,
     normalize,
-    subst,
+    subst_normal,
 )
 
 
@@ -211,12 +212,7 @@ def _search(t: Term, strict: bool, stack: Optional[list] = None) -> Optional[Nee
             )
         elif isinstance(control, Var):
             name = control.name
-            lam_at = None
-            for j in range(len(stack) - 1, -1, -1):
-                f = stack[j]
-                if isinstance(f, LamF) and f.binder == name:
-                    lam_at = j
-                    break
+            lam_at = binder_at(stack, name)
             if lam_at is None:
                 return fail(f"demanded variable {name} is unbound")
             depth = 0
@@ -260,14 +256,16 @@ def decompose(t: Term) -> NeedDecomposition:
 
 def _contractum(r: Redex, supply: NameSupply) -> Term:
     """The axiom's right-hand side: substitute the value for the binder,
-    drop the call, and hoist the argument's bindings."""
+    drop the call, and hoist the argument's bindings.  The redex sits in a
+    normalized term, so the substitution needs no environment."""
     body = plug(r.demand + r.inner_partial, Var(r.binder))
-    core = subst(body, r.binder, r.value, supply)
+    core = subst_normal(body, r.binder, r.value, supply)
     return plug(r.arg_context + r.binding + r.outer_partial, core)
 
 
 def contract(r: Redex, supply: Optional[NameSupply] = None) -> Term:
-    """The whole reduct: the contractum plugged into the outer context."""
+    """The whole reduct: the contractum plugged into the outer context.
+    The redex's term must be normalized, as every reduct of one is."""
     if supply is None:
         supply = NameSupply.for_term(r.whole_term())
     return plug(r.outer, _contractum(r, supply))
@@ -407,15 +405,16 @@ def compatible_reducts(t: Term, supply: Optional[NameSupply] = None) -> list[Ter
     """All one-step contractions at any subterm position, deduped by alpha.
 
     Only applications are tried: at an abstraction the search finds an
-    answer and at a variable it fails, so neither is a redex."""
-    if supply is None:
-        supply = NameSupply.for_term(t)
+    answer and at a variable it fails, so neither is a redex.  t must be
+    normalized; without a supply, one is seeded from t at its first redex."""
     seen = set()
     out = []
     for path, sub in _positions(t):
         r = redex_at_root(sub)
         if r is None:
             continue
+        if supply is None:
+            supply = NameSupply.for_term(t)
         reduct = _replace_at(t, path, contract(r, supply))
         key = canon(reduct)
         if key not in seen:

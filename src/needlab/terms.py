@@ -18,7 +18,11 @@ binders are pairwise distinct and disjoint from its free variables (a
 normalized term, in Launchbury's sense).  ``scan`` reads all that a start
 needs in one walk: the free variables, the highest name index, whether the
 term is hygienic and whether it carries labels; ``normalize`` adds a
-renaming walk only when the term is not hygienic.
+renaming walk only when the term is not hygienic.  Steps keep terms
+normalized, so a run substitutes with ``subst_normal``, which keeps no
+environment and never walks the inserted value; ``subst`` avoids capture
+for other input (the prelude, answer closing, one-shot steps without a
+supply), and ``subst_shared`` keeps the labeled images' copies identical.
 
 ``rewrite`` is the one bottom-up rebuild of a term: freshening,
 substitution, hygiene renaming, relabeling and label erasure are each a set
@@ -26,7 +30,6 @@ of hooks to it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
@@ -42,35 +45,61 @@ class Name(NamedTuple):
         return f"{self.base}%{self.index}"
 
 
-class Term:
+class Frozen:
+    """Base of the immutable records every step builds: term nodes, frames
+    and machine states.  Equality and hashing are by identity: the print
+    memos key on it, and term_eq / alpha_eq compare without recursing.
+
+    A subclass that lists its fields in __slots__ and defines no __init__
+    gets one that takes them in order and stores each through its slot
+    descriptor's __set__, which is cheaper than a frozen dataclass's
+    object.__setattr__; class keywords name defaults of its last fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **defaults):
+        fields = cls.__dict__.get("__slots__", ())
+        if fields and "__init__" not in cls.__dict__:
+            scope = {f"set_{f}": cls.__dict__[f].__set__ for f in fields}
+            scope.update({f"default_{f}": value for f, value in defaults.items()})
+            params = ", ".join(f"{f}=default_{f}" if f in defaults else f for f in fields)
+            body = "".join(f"\n    set_{f}(self, {f})" for f in fields)
+            exec(f"def __init__(self, {params}):{body}", scope)
+            cls.__init__ = scope["__init__"]
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Term(Frozen):
     """Base class for term nodes."""
 
     __slots__ = ()
 
 
-# eq=False keeps identity semantics: deep structural equality on these
-# trees must go through term_eq / alpha_eq, which do not recurse.
-@dataclass(frozen=True, eq=False, slots=True)
 class Var(Term):
-    name: Name
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Lam(Term):
-    binder: Name
-    body: Term
+    __slots__ = ("binder", "body")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = ("fn", "arg")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Labeled(Term):
-    label: Name
-    body: Term
+    __slots__ = ("label", "body")
 
 
 class _Hole(Term):
@@ -100,7 +129,7 @@ class NameSupply:
         self._next = max(1, start)
 
     def fresh(self, base: str = "x") -> Name:
-        n = Name(base, self._next)
+        n = tuple.__new__(Name, (base, self._next))  # skips Name's Python-level __new__
         self._next += 1
         return n
 
@@ -311,37 +340,44 @@ def _capture_avoiding(x: Name, fvs: set[Name], supply: NameSupply):
     return lam_fn
 
 
-def subst(
-    t: Term,
-    x: Name,
-    s: Term,
-    supply: Optional[NameSupply] = None,
-    keep_first: bool = True,
-) -> Term:
+def subst(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Term:
     """Capture-avoiding substitution of s for free occurrences of x in t.
 
     The first (leftmost) inserted copy of s keeps its names; every further
     copy has its binders freshened so the result stays hygienic when the
-    inputs were.  Pass keep_first=False when the original s survives
-    elsewhere and every inserted copy must be fresh.  Binders of t that
-    would capture a free variable of s are renamed.
+    inputs were.  Binders of t that would capture a free variable of s are
+    renamed.
     """
     if supply is None:
         supply = NameSupply.for_terms((t, s))
-    used_first = [not keep_first]
+    first = [s]
 
     def var_fn(node, env):
         new = _chain_lookup(env, node.name)
         if new is not None:
             return node if new == node.name else Var(new)
         if node.name == x:
-            if not used_first[0]:
-                used_first[0] = True
-                return s
-            return freshen(s, supply)
+            return first.pop() if first else freshen(s, supply)
         return node
 
     return rewrite(t, var=var_fn, lam=_capture_avoiding(x, free_vars(s), supply))
+
+
+def subst_normal(t: Term, x: Name, s: Term, supply: NameSupply, keep_first: bool = True) -> Term:
+    """``subst`` on a normalized state, where no binder of t is x or free in
+    s: nothing is blocked or renamed, so the walk keeps no environment and
+    does not read fv(s).  Copies are inserted and freshened as ``subst``
+    does, in the same order, so the supply mints the same names.  Pass
+    keep_first=False when the original s survives elsewhere and every
+    inserted copy must be fresh."""
+    first = [s] if keep_first else []
+
+    def var_fn(node, env):
+        if node.name != x:
+            return node
+        return first.pop() if first else freshen(s, supply)
+
+    return rewrite(t, var=var_fn)
 
 
 def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Term:

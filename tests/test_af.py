@@ -19,7 +19,7 @@ from needlab.frames import plug
 from needlab.gen import gen_closed
 from needlab.harness import close_answer_value, run_eval
 from needlab.need import eval_sr
-from needlab.results import Done, Timeout
+from needlab.results import Done, Timeout, start
 from needlab.syntax import parse
 from needlab.terms import App, NameSupply, alpha_eq, hygienize, is_closed, term_eq
 
@@ -199,3 +199,41 @@ def test_deref_keeps_the_context_it_reads_from(monkeypatch):
     r = eval_af(gen_closed(42 + 879, 25), 2000)
     assert isinstance(r, Timeout) and r.steps == 2000
     assert sum(passed) <= r.steps
+
+
+class _CountingStack(list):
+    """A frame stack that counts the frames read while counting is on."""
+
+    counting = False
+    reads = 0
+
+    def __getitem__(self, i):
+        if self.counting:
+            self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_binder_lookup_reads_one_frame_per_demand(monkeypatch):
+    # on corpus 879 every deref leaves its call on the stack, which grows
+    # with the run; the driver's binder -> position map finds each demanded
+    # binder by reading one frame, where a scan from the top read 505,004
+    # frames for the 2,002 demands of these 2,000 steps
+    stack = _CountingStack()
+    demands = [0]
+    real = af.binder_at
+
+    def counted(stack, name, where):
+        demands[0] += 1
+        stack.counting = True
+        try:
+            return real(stack, name, where)
+        finally:
+            stack.counting = False
+
+    monkeypatch.setattr(af, "binder_at", counted)
+    state, supply = start(gen_closed(42 + 879, 25), 2000, lambda t: (stack, t))
+    for steps, (rule, _) in enumerate(af.drive_af(state, supply), 1):
+        if steps == 2000:
+            break
+    assert rule is not None and len(stack) > 2000
+    assert demands[0] >= 2000 and stack.reads <= demands[0]

@@ -9,6 +9,7 @@ import pytest
 import needlab
 from needlab import af, ck, ckh, harness, lstep, need, oracle, results, terms
 from needlab.cli import main as cli_main
+from needlab.frames import build as build_stack
 from needlab.frames import context_term, plug
 from needlab.harness import (
     MACHINE_TABLE,
@@ -174,6 +175,21 @@ def test_check_confluence_small():
     rep = check_confluence(6, 8)
     assert rep.ok
     assert rep.terms > 0
+
+
+def test_audits_that_checked_nothing_are_not_ok():
+    # no closed term has fewer than two nodes, and fuel 0 stops a run that
+    # has not finished before its first transition
+    ud = check_unique_decomposition(1)
+    assert ud.terms == 0 and not ud.ok and not ud.to_json()["ok"]
+    cr = check_confluence(1, 10)
+    assert cr.terms == cr.pairs == 0 and not cr.ok
+    sim = check_simulation(parse(r"(\x.x) (\y.y)"), "ck-need", 0)
+    assert sim.transitions == 0 and not sim.completed and not sim.violations
+    assert not sim.ok
+    # a run that finishes at once checked its final state
+    done = check_simulation(parse(r"\x.x"), "ck-need", 0)
+    assert done.transitions == 0 and done.completed and done.ok
 
 
 def _counting(monkeypatch, module, attr, calls):
@@ -515,6 +531,46 @@ def test_eval_walks_a_hygienic_term_once_before_the_first_step(monkeypatch, walk
         r = getattr(module, evaluator)(t, 50)
         assert r.steps > 0
         assert at_first_step.pop() == {"scan": 1, "free_vars": 0, "subterms": 0, "for_terms": 0}
+
+
+def _binders(t):
+    return [node.binder for node in subterms(t) if node.__class__ is terms.Lam]
+
+
+def _pieces_ckh(state):
+    """The terms of a ckh state apart from its heap and checked-out names."""
+    yield state.control
+    yield from (f.term for f in state.frames if f.__class__ is ckh.ArgF)
+    yield from state.heap.values()
+
+
+@pytest.mark.parametrize("machine", [m for m in MACHINES if m != "lstep"])
+def test_driver_states_are_normalized(machine):
+    # the environment-free substitution the drivers use needs normalized
+    # states: binders pairwise distinct and disjoint from the free names.
+    # A ckh state keeps a value in the heap and as the control after an
+    # update, and a later copy of the same value can meet pieces of the
+    # first in the frames, so each of its terms is normalized on its own and
+    # none binds a heap or checked-out name
+    row = MACHINE_TABLE[machine]
+    whole = {"need-sr": build_stack, "af": build_stack, "af-mod": build_stack,
+             "name": lambda t: t, "ck": ck.build}.get(machine)
+    states = 0
+    for t in [gen_closed(42 + i, 25) for i in range(100)] + [LEQ]:
+        state, supply = results.start(t, 1000, row.inject)
+        for steps, (rule, state) in enumerate(row.drive(state, supply)):
+            states += 1
+            if whole is not None:
+                found = terms.scan(whole(state))
+                assert found.hygienic and not found.free, (print_term(t), steps)
+            else:
+                names = set(state.heap) | {f.name for f in state.frames if f.__class__ is ckh.VarF}
+                for piece in _pieces_ckh(state):
+                    assert terms.is_hygienic(piece), (print_term(t), steps)
+                    assert names.isdisjoint(_binders(piece)), (print_term(t), steps)
+            if rule is None or steps == 1000:
+                break
+    assert states > 1000
 
 
 LABELED = [r"l:(\x.x) (\y.y)", r"(\x.x) l:(\y.y)"]

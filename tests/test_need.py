@@ -124,14 +124,15 @@ def test_step_sr():
 
 
 def test_step_sr_walks_the_term_once(walks):
-    # one scan checks closedness and hygiene and seeds the supply, and subst
-    # walks the value it inserts; the search does not re-check closedness,
-    # and contract does not plug the term again to seed a supply.  Renaming
-    # a term that is not hygienic rebuilds it, with no further walk.
+    # one scan checks closedness and hygiene and seeds the supply; the
+    # substitution of a normalized term does not walk the value it inserts,
+    # the search does not re-check closedness, and contract does not plug
+    # the term again to seed a supply.  Renaming a term that is not hygienic
+    # rebuilds it, with no further walk.
     for t in (hygienize(parse(LINE4)), parse(LINE4)):
         walks.update(dict.fromkeys(walks, 0))
         assert alpha_eq(step_sr(t), parse(r"(\y.y) (\x.x)"))
-        assert walks == {"scan": 1, "free_vars": 1, "subterms": 0, "for_terms": 0}
+        assert walks == {"scan": 1, "free_vars": 0, "subterms": 0, "for_terms": 0}
     assert is_hygienic(hygienize(parse(LINE4))) and not is_hygienic(parse(LINE4))
 
 

@@ -30,6 +30,8 @@ from needlab.terms import (
     is_closed,
     is_hygienic,
     subst,
+    subst_normal,
+    subterms,
     term_eq,
 )
 
@@ -67,6 +69,33 @@ def test_subst_safety(seed1, seed2):
         out = subst(t, x, s)
         assert free_vars(out) <= (free_vars(t) - {x}) | free_vars(s)
         assert x not in free_vars(out)
+
+
+@given(seeds, st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_subst_normal_agrees_with_subst_on_normalized_input(seed, pick):
+    # in a closed hygienic term w, substitute for the binder x of an
+    # abstraction \x.t any subterm s that neither holds nor lies in it: no
+    # binder of t is x or free in s, and s's binders are not t's
+    from needlab.terms import Lam
+
+    w = hygienize(gen_closed(seed, 16))
+    nodes = list(subterms(w))
+    inside = {id(n): {id(m) for m in subterms(n)} for n in nodes}
+    pairs = [
+        (lam, s)
+        for lam in nodes
+        if isinstance(lam, Lam)
+        for s in nodes
+        if id(s) not in inside[id(lam)] and id(lam) not in inside[id(s)]
+    ]
+    if not pairs:
+        return
+    lam, s = pairs[pick % len(pairs)]
+    general, normal = NameSupply.for_term(w), NameSupply.for_term(w)
+    want = subst(lam.body, lam.binder, s, general)
+    got = subst_normal(lam.body, lam.binder, s, normal)
+    assert term_eq(got, want) and normal._next == general._next
 
 
 @given(seeds)

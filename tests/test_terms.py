@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
-from needlab.frames import ArgF, LamF, context_term
+from needlab import ck, ckh
+from needlab.frames import ArgF, BodF, LamF, context_term
 from needlab.gen import enumerate_closed, gen_closed
 from needlab.lstep import substlab
 from needlab.syntax import parse, print_term
@@ -47,6 +51,60 @@ def test_name_value_semantics():
         n.base = "y"
     with pytest.raises(AttributeError):
         n.index = 1
+
+
+X = Name("x")
+
+#: One maker per immutable record class: two calls give structurally equal
+#: instances.
+RECORDS = {
+    "Var": lambda: Var(X),
+    "Lam": lambda: Lam(X, Var(X)),
+    "App": lambda: App(HOLE, HOLE),
+    "Labeled": lambda: Labeled(X, HOLE),
+    "ArgF": lambda: ArgF(HOLE),
+    "LamF": lambda: LamF(X),
+    "BodF": lambda: BodF(X, (), ()),
+    "VarF": lambda: ckh.VarF(X),
+    "CKState": lambda: ck.CKState(HOLE),
+    "CKHState": lambda: ckh.CKHState(HOLE, (), {}),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_records_are_immutable_and_compared_by_identity(kind):
+    a, b = RECORDS[kind](), RECORDS[kind]()
+    assert type(a).__name__ == kind
+    assert a != b and hash(a) != hash(b) and a == a
+    assert repr(a) == repr(b) and repr(a).startswith(f"{kind}(")
+    for field in a.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.other = 1
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert type(copied) is type(a) and copied is not a and repr(copied) == repr(a)
+
+
+def test_record_fields_and_defaults():
+    assert repr(App(Var(X), Lam(X, Var(X)))) == (
+        "App(fn=Var(name=Name(base='x', index=0)), "
+        "arg=Lam(binder=Name(base='x', index=0), body=Var(name=Name(base='x', index=0))))"
+    )
+    assert ck.CKState(HOLE).frames == ()
+    s = ckh.CKHState(HOLE)
+    assert s.frames == () and s.heap == {} and s.changed is None
+    with pytest.raises(TypeError):  # the default heap is shared, so it is read-only
+        s.heap[X] = HOLE
+
+
+def test_fresh_names_are_names():
+    supply = NameSupply(4)
+    n = supply.fresh("y")
+    assert type(n) is Name and n == Name("y", 4) and str(n) == "y%4"
+    assert supply.fresh() == Name("x", 5)
 
 
 def test_free_vars():
