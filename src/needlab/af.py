@@ -52,7 +52,7 @@ from .terms import (
     Var,
     freshen,
     normalize,
-    subst,
+    step_subst,
     subst_normal,
 )
 
@@ -99,8 +99,8 @@ def _step(
     whole reduct.  A deref rewrites only the demanded occurrence: the stack
     holds the path to it, with the call kept, and the contractum is the
     fresh copy of the value.  On an answer the rule is None, and the stack
-    holds the answer context around the returned value.  where maps each
-    binder to the position of the last LamF pushed for it (``binder_at``).
+    holds the answer context around the returned value.  where is the
+    drive's map for ``_binder_at``.
     """
     while True:
         if isinstance(control, App):
@@ -114,7 +114,7 @@ def _step(
             return _resolve_value(control, stack, where, modified, supply)
         elif isinstance(control, Var):
             name = control.name
-            lam_at = binder_at(stack, name, where)
+            lam_at = _binder_at(stack, where, name)
             if lam_at is None:
                 raise OpenTermError(f"demanded variable {name} is unbound")
             assert lam_at > 0 and isinstance(stack[lam_at - 1], ArgF)
@@ -148,6 +148,17 @@ def _step(
             raise AssertionError(f"reduction reached {type(control).__name__}")
 
 
+def _binder_at(stack: list, where: dict, name) -> Optional[int]:
+    """``frames.binder_at``, first tried at where[name], the position of the
+    last LamF pushed for name: if one still sits there it is the topmost.
+    Derefs keep their calls, so the stack, and a scan, grow with the run."""
+    i = where.get(name, len(stack))
+    f = stack[i] if i < len(stack) else None
+    if f.__class__ is LamF and f.binder == name:
+        return i
+    return binder_at(stack, name)
+
+
 def _resolve_value(v: Term, stack: list, where: dict, modified: bool, supply: NameSupply):
     # consume answer layers: each is an ArgF directly under its LamF
     i = len(stack)
@@ -177,9 +188,8 @@ def _resolve_value(v: Term, stack: list, where: dict, modified: bool, supply: Na
         # argument reduced to a bare value: deref, the call back on the stack
         base = len(stack)
         stack += (ArgF(v), LamF(boundary.binder), *reversed(boundary.inner))
-        for k in range(base + 1, len(stack)):
-            if stack[k].__class__ is LamF:
-                where[stack[k].binder] = k
+        pushed = enumerate(stack[base + 1 :], base + 1)
+        where.update((f.binder, k) for k, f in pushed if f.__class__ is LamF)
         return DEREF, freshen(v, supply)
     call_body = plug(boundary.inner, Var(boundary.binder))
     if not pair_frames:
@@ -246,13 +256,9 @@ def eval_afmod(t: Term, fuel: int):
     return evaluate(t, fuel, drive_afmod, build, inject)
 
 
-def step_name(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
-    """One call-by-name step: leftmost-outermost beta, absent on values.
-    With a supply, t is a run's normalized state (``subst_normal``); without
-    one, t may not be, and fresh names are minted above every name of t."""
-    substitute = subst_normal
-    if supply is None:
-        supply, substitute = NameSupply.for_term(t), subst
+def step_name(t: Term, supply: Optional[NameSupply] = None, substitute=None) -> Optional[Term]:
+    """One call-by-name step: leftmost-outermost beta, absent on values.  t
+    need not be normalized: substitute and supply default to step_subst's."""
     spine: list[App] = []
     c = t
     while isinstance(c, App):
@@ -263,6 +269,8 @@ def step_name(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     if not spine:
         return None
     redex_app = spine.pop()
+    if substitute is None:
+        supply, substitute = step_subst((t,), supply)
     new = substitute(c.body, c.binder, redex_app.arg, supply)
     for node in reversed(spine):
         new = App(new, node.arg)
@@ -273,7 +281,7 @@ def drive_name(t: Term, supply: NameSupply):
     """Call-by-name from a closed hygienic term: ("beta", term) per step,
     then (None, value)."""
     while not isinstance(t, Lam):
-        t = step_name(t, supply)
+        t = step_name(t, supply, subst_normal)
         yield "beta", t
     yield None, t
 

@@ -15,6 +15,7 @@ efficient evaluator (lookupvar re-validates context grammars each time).
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from .frames import (
@@ -41,6 +42,7 @@ from .terms import (
     Term,
     Var,
     is_closed,
+    step_subst,
     subst_normal,
     subst_shared,
 )
@@ -84,29 +86,29 @@ def buildF(frames: Frames) -> Term:
     return context_term(frames)
 
 
-def subst_frames(frames: Frames, x, v: Term, supply: NameSupply) -> Frames:
-    """Map substitution across every term embedded in a frame list; every
-    inserted copy is freshened (the original value lives in the control),
-    and no binder in a normalized state's frames captures."""
+def subst_frames(frames: Frames, x, v: Term, supply: NameSupply, substitute) -> Frames:
+    """Map substitute across every term embedded in a frame list; every
+    inserted copy is freshened (the original value lives in the control)."""
     out = []
     for f in frames:
         if isinstance(f, ArgF):
-            out.append(ArgF(subst_normal(f.term, x, v, supply, keep_first=False)))
+            out.append(ArgF(substitute(f.term, x, v, supply, keep_first=False)))
         elif isinstance(f, LamF):
             out.append(f)
         else:
             out.append(
                 BodF(
                     f.binder,
-                    subst_frames(f.inner, x, v, supply),
-                    subst_frames(f.between, x, v, supply),
+                    subst_frames(f.inner, x, v, supply, substitute),
+                    subst_frames(f.between, x, v, supply, substitute),
                 )
             )
     return tuple(out)
 
 
-def step_ck(s: CKState, supply: Optional[NameSupply] = None) -> Optional[tuple[str, CKState]]:
-    """One transition; absent iff the state is final."""
+def step_ck(s: CKState, supply=None, substitute=None) -> Optional[tuple[str, CKState]]:
+    """One transition; absent iff the state is final.  The state need not be
+    normalized: substitute and supply default to step_subst's for it."""
     control, frames = s.control, s.frames
     if isinstance(control, App):
         return PUSHARG, CKState(control.fn, (ArgF(control.arg),) + frames)
@@ -126,10 +128,10 @@ def step_ck(s: CKState, supply: Optional[NameSupply] = None) -> Optional[tuple[s
         if not is_answer_frames(arg_frames):
             raise IllFormedState("argument context is not an answer context")
         bod = frames[bod_at]
-        if supply is None:
-            supply = NameSupply.for_term(build(s))
+        if substitute is None:
+            supply, substitute = step_subst((build(s),), supply)
         new_frames = (
-            subst_frames(bod.inner, bod.binder, control, supply)
+            subst_frames(bod.inner, bod.binder, control, supply, substitute)
             + arg_frames
             + bod.between
             + frames[bod_at + 1 :]
@@ -190,7 +192,7 @@ def build_step_term(s: CKState, supply: Optional[NameSupply] = None) -> Term:
 
 
 def drive(s: CKState, supply: NameSupply):
-    return iterate(step_ck, s, supply)
+    return iterate(partial(step_ck, substitute=subst_normal), s, supply)
 
 
 def eval_ck(t: Term, fuel: int):

@@ -18,7 +18,7 @@ them.
 """
 from __future__ import annotations
 
-from types import MappingProxyType
+from functools import partial
 from typing import Optional
 
 from .frames import ArgF
@@ -35,7 +35,7 @@ from .terms import (
     Var,
     is_closed,
     rewrite,
-    subst,
+    step_subst,
     subst_normal,
 )
 
@@ -51,11 +51,9 @@ class VarF(Frozen):
     __slots__ = ("name",)
 
 
-class CKHState(Frozen, frames=(), heap=MappingProxyType({}), changed=None):
-    """heap maps each heap name to its binding, insertion ordered, and a
-    step copies it rather than change it; changed is the heap name the last
-    step bound, checked out or rebound."""
-
+class CKHState(Frozen, changed=None):
+    # heap: Name -> Term, insertion ordered, copied by a step that changes
+    # it; changed: the heap name the last step bound, checked out or rebound
     __slots__ = ("control", "frames", "heap", "changed")
 
 
@@ -67,12 +65,16 @@ class UnresolvableVariable(AssertionError):
     pass
 
 
+def initial_state(t: Term) -> CKHState:
+    """The initial state of t, unchecked: runs inject it after start's checks."""
+    return CKHState(t, (), {})
+
+
 def inject_ckh(t: Term) -> CKHState:
-    """The initial state of a closed term.  Runs build CKHState(t) directly:
-    results.start has already checked closedness."""
+    """The initial state of a closed term."""
     if not is_closed(t):
         raise OpenTermError("inject_ckh requires a closed term")
-    return CKHState(t, (), {})
+    return initial_state(t)
 
 
 def is_final(s: CKHState) -> bool:
@@ -89,12 +91,11 @@ def _state_terms(s: CKHState):
         yield bound
 
 
-def step_ckh(s: CKHState, supply: Optional[NameSupply] = None) -> Optional[tuple[str, CKHState]]:
+def step_ckh(s: CKHState, supply=None, substitute=None) -> Optional[tuple[str, CKHState]]:
     """One store-machine transition; absent iff the state is final.  The
     next state names the heap variable the step bound, checked out or
-    rebound.  With a supply, the state is a run's, whose control is
-    normalized (``subst_normal``); without one, it may not be, and fresh
-    names are minted above every name of the state."""
+    rebound.  The state need not be normalized: substitute and supply
+    default to step_subst's for its terms."""
     control, frames, heap = s.control, s.frames, s.heap
     if isinstance(control, App):
         return PUSHARG, CKHState(control.fn, (ArgF(control.arg),) + frames, heap)
@@ -103,9 +104,8 @@ def step_ckh(s: CKHState, supply: Optional[NameSupply] = None) -> Optional[tuple
             return None
         top = frames[0]
         if isinstance(top, ArgF):
-            substitute = subst_normal
-            if supply is None:  # a one-shot step: the state may not be normalized
-                supply, substitute = NameSupply.for_terms(_state_terms(s)), subst
+            if substitute is None:
+                supply, substitute = step_subst(_state_terms(s), supply)
             fresh = supply.fresh(control.binder.base)
             body = substitute(control.body, control.binder, Var(fresh), supply)
             new_heap = dict(heap)
@@ -360,9 +360,9 @@ def buildL(s: CKHState, reuse: Optional[ImageCache] = None) -> Term:
 
 
 def drive(s: CKHState, supply: NameSupply):
-    return iterate(step_ckh, s, supply)
+    return iterate(partial(step_ckh, substitute=subst_normal), s, supply)
 
 
 def eval_ckh(t: Term, fuel: int):
     """Drive the store machine; the result is the closed final control."""
-    return evaluate(t, fuel, drive, buildL, CKHState)
+    return evaluate(t, fuel, drive, buildL, initial_state)

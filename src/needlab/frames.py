@@ -72,15 +72,9 @@ def build(state: tuple[list, Term]) -> Term:
     return plug(tuple(reversed(stack)), sub)
 
 
-def binder_at(stack: list, name: Name, where: Optional[dict] = None) -> Optional[int]:
-    """Position of the topmost LamF binding name in an outermost-first stack:
-    where[name], the last position a LamF for name was pushed at, if one
-    still sits there (no later push put one above it), else a scan's."""
-    i = where.get(name) if where else None
-    if i is not None and i < len(stack):
-        f = stack[i]
-        if f.__class__ is LamF and f.binder == name:
-            return i
+def binder_at(stack: list, name: Name) -> Optional[int]:
+    """Position of the topmost LamF binding name in an outermost-first
+    stack, or None."""
     for j in range(len(stack) - 1, -1, -1):
         f = stack[j]
         if isinstance(f, LamF) and f.binder == name:

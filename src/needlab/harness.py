@@ -212,7 +212,7 @@ MACHINE_TABLE = {
     "name": Machine(lambda t, f: af.eval_name(t, f), _same, af.drive_name, _print_terms, _answer),
     "ck": Machine(lambda t, f: ck.eval_ck(t, f), ck.CKState, ck.drive, _print_ck, _closed),
     "ckh": Machine(
-        lambda t, f: ckh.eval_ckh(t, f), ckh.CKHState, ckh.drive, _print_ckh, _erased
+        lambda t, f: ckh.eval_ckh(t, f), ckh.initial_state, ckh.drive, _print_ckh, _erased
     ),
     "lstep": Machine(
         lambda t, f: lstep.eval_lstep(t, f), _same, lstep.drive, _print_terms, _erased, True

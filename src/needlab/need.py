@@ -52,6 +52,7 @@ from .terms import (
     canon,
     is_closed,
     normalize,
+    step_subst,
     subst_normal,
 )
 
@@ -254,21 +255,21 @@ def decompose(t: Term) -> NeedDecomposition:
     return d
 
 
-def _contractum(r: Redex, supply: NameSupply) -> Term:
+def _contractum(r: Redex, supply: NameSupply, substitute) -> Term:
     """The axiom's right-hand side: substitute the value for the binder,
-    drop the call, and hoist the argument's bindings.  The redex sits in a
-    normalized term, so the substitution needs no environment."""
+    drop the call, and hoist the argument's bindings."""
     body = plug(r.demand + r.inner_partial, Var(r.binder))
-    core = subst_normal(body, r.binder, r.value, supply)
+    core = substitute(body, r.binder, r.value, supply)
     return plug(r.arg_context + r.binding + r.outer_partial, core)
 
 
-def contract(r: Redex, supply: Optional[NameSupply] = None) -> Term:
-    """The whole reduct: the contractum plugged into the outer context.
-    The redex's term must be normalized, as every reduct of one is."""
-    if supply is None:
-        supply = NameSupply.for_term(r.whole_term())
-    return plug(r.outer, _contractum(r, supply))
+def contract(r: Redex, supply: Optional[NameSupply] = None, substitute=None) -> Term:
+    """The whole reduct: the contractum plugged into the outer context.  The
+    term need not be normalized: substitute and supply default to
+    step_subst's for it."""
+    if substitute is None:
+        supply, substitute = step_subst((r.whole_term(),), supply)
+    return plug(r.outer, _contractum(r, supply, substitute))
 
 
 def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
@@ -280,7 +281,7 @@ def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     d = _search(t, strict=True)  # decompose would re-check closedness
     if isinstance(d, Answer):
         return None
-    return contract(d, supply)
+    return contract(d, supply, subst_normal)
 
 
 def drive(state: tuple[list, Term], supply: NameSupply):
@@ -294,7 +295,7 @@ def drive(state: tuple[list, Term], supply: NameSupply):
     stack, t = state
     while not isinstance(d := _search(t, True, stack), Answer):
         del stack[len(d.outer) :]
-        t = _contractum(d, supply)
+        t = _contractum(d, supply, subst_normal)
         yield "beta-need", (stack, t)
     yield None, (stack, d.value)
 
@@ -405,17 +406,18 @@ def compatible_reducts(t: Term, supply: Optional[NameSupply] = None) -> list[Ter
     """All one-step contractions at any subterm position, deduped by alpha.
 
     Only applications are tried: at an abstraction the search finds an
-    answer and at a variable it fails, so neither is a redex.  t must be
-    normalized; without a supply, one is seeded from t at its first redex."""
+    answer and at a variable it fails, so neither is a redex.  t need not
+    be normalized: step_subst scans it at its first redex."""
     seen = set()
     out = []
+    substitute = None
     for path, sub in _positions(t):
         r = redex_at_root(sub)
         if r is None:
             continue
-        if supply is None:
-            supply = NameSupply.for_term(t)
-        reduct = _replace_at(t, path, contract(r, supply))
+        if substitute is None:
+            supply, substitute = step_subst((t,), supply)
+        reduct = _replace_at(t, path, contract(r, supply, substitute))
         key = canon(reduct)
         if key not in seen:
             seen.add(key)

@@ -13,16 +13,13 @@ operations here are iterative: evaluation traces can produce terms whose
 application spines are thousands of nodes deep, well past the default
 recursion limit.
 
-Every machine run, and every one-shot step, starts from a closed term whose
-binders are pairwise distinct and disjoint from its free variables (a
-normalized term, in Launchbury's sense).  ``scan`` reads all that a start
-needs in one walk: the free variables, the highest name index, whether the
-term is hygienic and whether it carries labels; ``normalize`` adds a
-renaming walk only when the term is not hygienic.  Steps keep terms
-normalized, so a run substitutes with ``subst_normal``, which keeps no
-environment and never walks the inserted value; ``subst`` avoids capture
-for other input (the prelude, answer closing, one-shot steps without a
-supply), and ``subst_shared`` keeps the labeled images' copies identical.
+Every machine run starts from a closed term whose binders are pairwise
+distinct and disjoint from its free variables (a normalized term, in
+Launchbury's sense), and its steps keep it so: they substitute with
+``subst_normal``, which needs no environment.  ``subst`` avoids capture
+for any input, and ``step_subst`` picks one of the two for a one-shot step
+by a ``scan``, the one walk that reads the free variables, the highest
+name index, hygiene and labels; ``normalize`` renames only what it must.
 
 ``rewrite`` is the one bottom-up rebuild of a term: freshening,
 substitution, hygiene renaming, relabeling and label erasure are each a set
@@ -46,14 +43,10 @@ class Name(NamedTuple):
 
 
 class Frozen:
-    """Base of the immutable records every step builds: term nodes, frames
-    and machine states.  Equality and hashing are by identity: the print
-    memos key on it, and term_eq / alpha_eq compare without recursing.
-
-    A subclass that lists its fields in __slots__ and defines no __init__
-    gets one that takes them in order and stores each through its slot
-    descriptor's __set__, which is cheaper than a frozen dataclass's
-    object.__setattr__; class keywords name defaults of its last fields."""
+    """Base of the immutable records every step builds, compared by identity
+    (the print memos key on it).  A subclass listing its fields in __slots__
+    gets an __init__ that stores each through its slot descriptor, cheaper
+    than object.__setattr__; class keywords give its last fields defaults."""
 
     __slots__ = ()
 
@@ -340,17 +333,24 @@ def _capture_avoiding(x: Name, fvs: set[Name], supply: NameSupply):
     return lam_fn
 
 
-def subst(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Term:
+def subst(
+    t: Term,
+    x: Name,
+    s: Term,
+    supply: Optional[NameSupply] = None,
+    keep_first: bool = True,
+) -> Term:
     """Capture-avoiding substitution of s for free occurrences of x in t.
 
     The first (leftmost) inserted copy of s keeps its names; every further
     copy has its binders freshened so the result stays hygienic when the
-    inputs were.  Binders of t that would capture a free variable of s are
-    renamed.
+    inputs were.  Pass keep_first=False when the original s survives
+    elsewhere and every inserted copy must be fresh.  Binders of t that
+    would capture a free variable of s are renamed.
     """
     if supply is None:
         supply = NameSupply.for_terms((t, s))
-    first = [s]
+    first = [s] if keep_first else []
 
     def var_fn(node, env):
         new = _chain_lookup(env, node.name)
@@ -364,12 +364,9 @@ def subst(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Ter
 
 
 def subst_normal(t: Term, x: Name, s: Term, supply: NameSupply, keep_first: bool = True) -> Term:
-    """``subst`` on a normalized state, where no binder of t is x or free in
-    s: nothing is blocked or renamed, so the walk keeps no environment and
-    does not read fv(s).  Copies are inserted and freshened as ``subst``
-    does, in the same order, so the supply mints the same names.  Pass
-    keep_first=False when the original s survives elsewhere and every
-    inserted copy must be fresh."""
+    """``subst`` where no binder of t is x or free in s, as in a normalized
+    state: no environment and no fv(s), and the same copies, freshened in
+    the same order, so the supply mints the same names."""
     first = [s] if keep_first else []
 
     def var_fn(node, env):
@@ -378,6 +375,16 @@ def subst_normal(t: Term, x: Name, s: Term, supply: NameSupply, keep_first: bool
         return first.pop() if first else freshen(s, supply)
 
     return rewrite(t, var=var_fn)
+
+
+def step_subst(terms: Iterable[Term], supply: Optional[NameSupply] = None):
+    """For a one-shot step on the terms of a state, from one scan of each:
+    supply, or one above every name in them, and ``subst_normal`` if each
+    is normalized, else ``subst``."""
+    found = [scan(t) for t in terms]
+    if supply is None:
+        supply = NameSupply(max(f.top for f in found) + 1)
+    return supply, (subst_normal if all(f.hygienic for f in found) else subst)
 
 
 def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Term:

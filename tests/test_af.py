@@ -144,6 +144,14 @@ def test_step_name_substitutes_unevaluated():
     assert alpha_eq(n, parse(r"((\a.a) (\b.b)) ((\a.a) (\b.b))"))
 
 
+def test_step_name_on_a_term_that_is_not_normalized():
+    # the inner \x rebinds x, and a free y of the argument meets a \y
+    for supply in (None, NameSupply(5)):
+        assert term_eq(step_name(parse(r"(\x.\x.x) (\y.y)"), supply), parse(r"\x.x"))
+        n = step_name(parse(r"(\x.\y.x) (\z.y)"), supply)
+        assert alpha_eq(n, parse(r"\w.\z.y"))
+
+
 def test_afmod_assoc_keeps_multi_layer_answer_in_order():
     # assoc' must move the whole answer context outward unchanged: the
     # inner layer's argument `a` stays in the scope of its binder
@@ -220,17 +228,17 @@ def test_binder_lookup_reads_one_frame_per_demand(monkeypatch):
     # frames for the 2,002 demands of these 2,000 steps
     stack = _CountingStack()
     demands = [0]
-    real = af.binder_at
+    real = af._binder_at
 
-    def counted(stack, name, where):
+    def counted(stack, where, name):
         demands[0] += 1
         stack.counting = True
         try:
-            return real(stack, name, where)
+            return real(stack, where, name)
         finally:
             stack.counting = False
 
-    monkeypatch.setattr(af, "binder_at", counted)
+    monkeypatch.setattr(af, "_binder_at", counted)
     state, supply = start(gen_closed(42 + 879, 25), 2000, lambda t: (stack, t))
     for steps, (rule, _) in enumerate(af.drive_af(state, supply), 1):
         if steps == 2000:

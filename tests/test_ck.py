@@ -289,3 +289,18 @@ def test_lookupvar_matches_decompose():
             assert d.binder == s.frames[[isinstance(f, BodF) for f in s.frames].index(True)].binder
             break
         s = s2
+
+
+def test_step_ck_on_a_state_that_is_not_normalized():
+    # the inner \x.x rebinds x, so the beta-need-ck step that substitutes
+    # \y.y for the outer x must leave the argument frame's body alone
+    s = inject_ck(parse(r"(\x.x (\x.x)) (\y.y)"))
+    for supply in (None, NameSupply(5)):
+        state, rules = s, []
+        while (r := step_ck(state, supply)) is not None:
+            rule, state = r
+            rules.append(rule)
+            if rule == "beta-need-ck":
+                assert term_eq(build(state), parse(r"(\y.y) (\x.x)"))
+                break
+        assert rules[-1] == "beta-need-ck"

@@ -251,6 +251,15 @@ def test_step_without_supply_mints_a_name_unbound_in_the_heap():
     assert print_term(buildL(s2)) == r"x%2:(\w.w) x%1:(\q.q)"
 
 
+def test_descend_lam_on_a_control_that_is_not_normalized():
+    # the inner \x rebinds x: only the outer x becomes the heap name
+    s = CKHState(parse(r"\x.(\x.x) x"), (ArgF(parse(r"\q.q")),), {})
+    for supply in (None, NameSupply(1)):
+        rule, s2 = step_ckh(s, supply)
+        assert rule == DESCEND_LAM and s2.changed == Name("x", 1)
+        assert print_term(s2.control) == r"(\x.x) x%1"
+
+
 def test_steps_report_the_heap_name_they_change():
     t = hygienize(parse(r"(\x.x x) ((\y.y) (\z.z))"))
     sup = NameSupply.for_term(t)

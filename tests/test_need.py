@@ -347,3 +347,13 @@ def test_standard_reduction_plugs_only_the_contraction_site(monkeypatch):
     r = eval_sr(LEQ, 1000)
     assert isinstance(r, Done) and r.steps == 61
     assert sum(passed) == 351
+
+
+def test_contract_on_a_term_that_is_not_normalized():
+    # the inner \x rebinds x: substituting the outer x must stop there
+    t = parse(r"(\x.(\x.x x) x) (\y.y)")
+    want = parse(r"(\x.x x) (\y.y)")
+    assert term_eq(contract(decompose(t)), want)
+    assert term_eq(contract(decompose(t), NameSupply(7)), want)
+    assert [print_term(r) for r in compatible_reducts(t)] == [print_term(want)]
+    assert [print_term(r) for r in compatible_reducts(t, NameSupply(7))] == [print_term(want)]

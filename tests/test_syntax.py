@@ -204,7 +204,7 @@ def test_stack_printer_matches_plugged_term():
             regrown += _cut_and_push(rng, ckh_stack, _ckh_frames)
             t = rng.choice([HOLE, Var(Name("v")), _random_term(rng, 3)])
             assert printer(stack, t) == print_term(plug(tuple(reversed(stack)), t))
-            state = ckh.CKHState(t, tuple(reversed(ckh_stack)))
+            state = ckh.CKHState(t, tuple(reversed(ckh_stack)), {})
             assert ckh_printer(state) == _render_ckh(state)
             memo.next_state()
     assert regrown > 1000

@@ -26,8 +26,10 @@ from needlab.terms import (
     is_hygienic,
     normalize,
     scan,
+    step_subst,
     strip_value_labels,
     subst,
+    subst_normal,
     subst_shared,
     subterms,
     term_eq,
@@ -94,10 +96,21 @@ def test_record_fields_and_defaults():
         "arg=Lam(binder=Name(base='x', index=0), body=Var(name=Name(base='x', index=0))))"
     )
     assert ck.CKState(HOLE).frames == ()
-    s = ckh.CKHState(HOLE)
-    assert s.frames == () and s.heap == {} and s.changed is None
-    with pytest.raises(TypeError):  # the default heap is shared, so it is read-only
-        s.heap[X] = HOLE
+    assert ckh.CKHState(HOLE, (), {}).changed is None
+    with pytest.raises(TypeError):  # no default heap: a shared one would be mutable
+        ckh.CKHState(HOLE)
+    s = ckh.initial_state(HOLE)
+    assert s.frames == () and s.heap == {} and s.heap is not ckh.initial_state(HOLE).heap
+    assert repr(pickle.loads(pickle.dumps(s))) == repr(s)
+
+
+def test_step_subst_picks_the_substitution_by_hygiene():
+    supply, substitute = step_subst((parse(r"\x.x"), Var(Name("y", 4))))
+    assert substitute is subst_normal and supply.fresh() == Name("x", 5)
+    given = NameSupply(9)
+    for shadowed in (r"\x.\x.x", r"x (\x.x)"):  # a repeated binder; a binder free too
+        supply, substitute = step_subst((parse(r"\y.y"), parse(shadowed)), given)
+        assert substitute is subst and supply is given
 
 
 def test_fresh_names_are_names():
