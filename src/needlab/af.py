@@ -60,10 +60,6 @@ DEREF, LIFT, ASSOC = "deref", "lift", "assoc"
 BETA_NEED_MOD, LIFT_MOD, ASSOC_MOD = "beta-need'", "lift'", "assoc'"
 
 
-def is_value(t: Term) -> bool:
-    return isinstance(t, Lam)
-
-
 def af_answer_split(t: Term) -> Optional[tuple[Frames, Term]]:
     """Split t as nested (lam x. a) e layers around a value, if possible.
 
@@ -119,12 +115,12 @@ def _step(
                 raise OpenTermError(f"demanded variable {name} is unbound")
             assert lam_at > 0 and isinstance(stack[lam_at - 1], ArgF)
             arg = stack[lam_at - 1].term
-            if is_value(arg) and not modified:
+            if isinstance(arg, Lam) and not modified:
                 # deref changes only the occurrence: the path stays
                 return DEREF, freshen(arg, supply)
             inner = tuple(reversed(stack[lam_at + 1 :]))
             del stack[lam_at - 1 :]
-            if is_value(arg):
+            if isinstance(arg, Lam):
                 body = plug(inner, Var(name))
                 return BETA_NEED_MOD, subst_normal(body, name, arg, supply)
             split = af_answer_split(arg)

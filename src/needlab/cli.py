@@ -34,7 +34,9 @@ def _load_term(args, run=True):
     if args.file == "-":
         text = sys.stdin.read()
     else:
-        with open(args.file, encoding="utf-8") as fh:
+        # a byte that is not UTF-8 reads as a lone surrogate, which the
+        # parser reports with its position, as it does for stdin
+        with open(args.file, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     t = parse(text)
     if run and any(node is HOLE for node in subterms(t)):

@@ -99,12 +99,12 @@ def eval_context_holes(t: Term) -> Iterator[tuple[Frames, Term]]:
             yield frames + (bod,) + hat_frames, sub
 
 
-def redexes_at_root(t: Term) -> Iterator[Redex]:
-    """All ways t itself matches the redex pattern."""
+def redexes_at_root(t: Term, outer: Frames) -> Iterator[Redex]:
+    """All ways t itself matches the redex pattern, t at the hole of outer."""
     for hat_frames, a1_frames, binder, chk_frames, dem_frames, arg in _demanding_calls(t):
         for a2_frames, value in answer_splits(arg):
             yield Redex(
-                outer=(),
+                outer=outer,
                 outer_partial=hat_frames,
                 binding=a1_frames,
                 binder=binder,
@@ -115,9 +115,9 @@ def redexes_at_root(t: Term) -> Iterator[Redex]:
             )
 
 
-def _redex_key(outer: Frames, r: Redex):
+def _redex_key(r: Redex):
     return (
-        canon(context_term(outer)),
+        canon(context_term(r.outer)),
         canon(context_term(r.outer_partial)),
         canon(context_term(r.binding)),
         (r.binder.base, r.binder.index),
@@ -144,18 +144,8 @@ def enumerate_decompositions(t: Term) -> tuple[dict, dict]:
         answers[_answer_key(frames, value)] = (frames, value)
     redexes = {}
     for frames, sub in eval_context_holes(t):
-        for r in redexes_at_root(sub):
-            full = Redex(
-                outer=frames,
-                outer_partial=r.outer_partial,
-                binding=r.binding,
-                binder=r.binder,
-                inner_partial=r.inner_partial,
-                demand=r.demand,
-                arg_context=r.arg_context,
-                value=r.value,
-            )
-            redexes[_redex_key(frames, full)] = full
+        for r in redexes_at_root(sub, frames):
+            redexes[_redex_key(r)] = r
     return answers, redexes
 
 
@@ -164,4 +154,4 @@ def decomposition_matches(d: NeedDecomposition, answers: dict, redexes: dict) ->
     the dicts of enumerate_decompositions; only d's own key is computed."""
     if isinstance(d, Answer):
         return _answer_key(d.context.frames, d.value) in answers
-    return _redex_key(d.outer, d) in redexes
+    return _redex_key(d) in redexes

@@ -5,13 +5,13 @@ Grammar (UTF-8):
     term  ::= '\\' ident '.' term | app
     app   ::= atom+                      (left associative)
     atom  ::= ident | ident ':' '(' term ')' | '(' term ')'
-    ident ::= [A-Za-z_][A-Za-z0-9_']*
+    ident ::= [A-Za-z_][A-Za-z0-9_']* ('%' [0-9]+)?
 
 A lambda body extends maximally to the right.  ``λ`` is a synonym for
 ``\\``.  ``--`` starts a comment running to end of line.  A bare ``%`` is
-banned inside identifiers, but an identifier may carry a ``%N`` suffix
-denoting a machine-minted name with generation index N; the printer emits
-these for fresh names.  ``l:(t)`` is t under the sharing label l, as the
+banned inside identifiers, but an identifier may carry a ``%N`` suffix,
+N in ASCII digits, denoting a machine-minted name with generation index N;
+the printer emits these for fresh names.  ``l:(t)`` is t under the sharing label l, as the
 labeled semantics and the store machine's image print it.  Printed terms,
 labeled ones included, always parse back.
 
@@ -24,11 +24,22 @@ grow at the top, keeping each frame's piece with the frame.
 """
 from __future__ import annotations
 
+import re
+
 from .frames import ArgF, Frames, LamF
 from .terms import HOLE, App, Labeled, Lam, Name, Term, Var
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789'")
+#: One token at a time, by ``_TOKEN.match(text, at)``: a named group per
+#: kind, while blanks and ``--`` comments match without a group and are
+#: skipped.  A ``%`` suffix takes ASCII digits; an empty one is an error.
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|--[^\n]*"
+    r"|(?P<ident>(?P<base>[A-Za-z_][A-Za-z0-9_']*)(?:%(?P<index>[0-9]*))?)"
+    r"|(?P<lambda>[\\λ])|(?P<dot>\.)|(?P<colon>:)|(?P<lparen>\()|(?P<rparen>\))"
+    # the distinguished hole of a one-hole context; printed contexts
+    # parse back, though holes never occur in programs
+    r"|(?P<hole>\[\])"
+)
 
 
 class ParseError(ValueError):
@@ -38,151 +49,87 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[tuple[str, object, int, int]] = []
-        self._run()
+def _error(text: str, at: int, message: str) -> ParseError:
+    """A ParseError at offset at of text, its line and column counted here."""
+    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
 
-    def _error(self, msg: str):
-        raise ParseError(msg, self.line, self.col)
-
-    def _run(self) -> None:
-        text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c in " \t\r\n":
-                self._advance()
-                continue
-            if c == "-" and text.startswith("--", self.pos):
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-                continue
-            line, col = self.line, self.col
-            if c in "\\λ":
-                self.tokens.append(("lambda", None, line, col))
-                self._advance()
-            elif c == ".":
-                self.tokens.append(("dot", None, line, col))
-                self._advance()
-            elif c == ":":
-                self.tokens.append(("colon", None, line, col))
-                self._advance()
-            elif c == "(":
-                self.tokens.append(("lparen", None, line, col))
-                self._advance()
-            elif c == ")":
-                self.tokens.append(("rparen", None, line, col))
-                self._advance()
-            elif c == "[" and text.startswith("[]", self.pos):
-                # the distinguished hole of a one-hole context; printed
-                # contexts parse back, though holes never occur in programs
-                self.tokens.append(("hole", None, line, col))
-                self._advance(2)
-            elif c in _IDENT_START:
-                start = self.pos
-                while self.pos < len(text) and text[self.pos] in _IDENT_CONT:
-                    self._advance()
-                base = text[start : self.pos]
-                index = 0
-                if self.pos < len(text) and text[self.pos] == "%":
-                    self._advance()
-                    dstart = self.pos
-                    while self.pos < len(text) and text[self.pos].isdigit():
-                        self._advance()
-                    if dstart == self.pos:
-                        self._error("expected digits after '%'")
-                    index = int(text[dstart : self.pos])
-                self.tokens.append(("ident", Name(base, index), line, col))
-            else:
-                self._error(f"unexpected character {c!r}")
-        self.tokens.append(("eof", None, self.line, self.col))
+def _tokens(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, offset) of each token of text, then an eof token."""
+    tokens = []
+    at, end, match = 0, len(text), _TOKEN.match
+    while at < end:
+        m = match(text, at)
+        if m is None:
+            raise _error(text, at, f"unexpected character {text[at]!r}")
+        kind = m.lastgroup
+        if kind == "ident":
+            index = m["index"]
+            if index == "":
+                raise _error(text, m.end(), "expected digits after '%'")
+            tokens.append((kind, Name(m["base"], int(index) if index else 0), at))
+        elif kind is not None:
+            tokens.append((kind, None, at))
+        at = m.end()
+    tokens.append(("eof", None, end))
+    return tokens
 
 
 class _Group:
     """One term-in-progress: leading binders, then application atoms."""
 
-    __slots__ = ("binders", "atoms", "open_tok", "label")
+    __slots__ = ("binders", "atoms", "paren", "label")
 
-    def __init__(self, open_tok=None, label: Name | None = None):
+    def __init__(self, paren: bool = False, label: Name | None = None):
         self.binders: list[Name] = []
         self.atoms: list[Term] = []
-        self.open_tok = open_tok  # the '(' token for paren groups, else None
+        self.paren = paren  # opened by '(' or 'l:(', closed by ')'
         self.label = label  # the l of an l:(...) group
-
-    def close(self, tok) -> Term:
-        if not self.atoms:
-            raise ParseError(f"expected a term, found {tok[0]}", tok[2], tok[3])
-        t = self.atoms[0]
-        for a in self.atoms[1:]:
-            t = App(t, a)
-        for b in reversed(self.binders):
-            t = Lam(b, t)
-        return t
 
 
 def parse(text: str) -> Term:
     """Explicit-stack parser; machine output can nest thousands deep."""
-    tokens = _Lexer(text).tokens
+    tokens = _tokens(text)
     at = 0
     stack = [_Group()]
     while True:
-        kind, value, line, col = tokens[at]
+        kind, value, start = tokens[at]
         at += 1
-        if kind == "lambda":
-            if stack[-1].atoms:
-                raise ParseError(
-                    "an abstraction here must be parenthesized", line, col
-                )
-            name_tok = tokens[at]
-            at += 1
-            if name_tok[0] != "ident":
-                raise ParseError(f"expected ident, found {name_tok[0]}", name_tok[2], name_tok[3])
-            dot_tok = tokens[at]
-            at += 1
-            if dot_tok[0] != "dot":
-                raise ParseError(f"expected dot, found {dot_tok[0]}", dot_tok[2], dot_tok[3])
-            stack[-1].binders.append(name_tok[1])
-        elif kind == "ident" and tokens[at][0] == "colon":
-            paren_tok = tokens[at + 1]
-            at += 2
-            if paren_tok[0] != "lparen":
-                raise ParseError(
-                    f"expected lparen, found {paren_tok[0]}", paren_tok[2], paren_tok[3]
-                )
-            stack.append(_Group(paren_tok, value))
+        if kind == "lambda" and stack[-1].atoms:
+            raise _error(text, start, "an abstraction here must be parenthesized")
+        if kind == "lambda" or kind == "ident" and tokens[at][0] == "colon":
+            for want in ("ident", "dot") if kind == "lambda" else ("colon", "lparen"):
+                found, _, where = tokens[at]
+                if found != want:
+                    raise _error(text, where, f"expected {want}, found {found}")
+                at += 1
+            if kind == "lambda":
+                stack[-1].binders.append(tokens[at - 2][1])
+            else:
+                stack.append(_Group(True, value))
         elif kind == "ident":
             stack[-1].atoms.append(Var(value))
         elif kind == "hole":
             stack[-1].atoms.append(HOLE)
         elif kind == "lparen":
-            stack.append(_Group((kind, value, line, col)))
-        elif kind == "rparen":
-            group = stack[-1]
-            if group.open_tok is None:
-                raise ParseError("unexpected trailing rparen", line, col)
-            stack.pop()
-            body = group.close((kind, value, line, col))
-            stack[-1].atoms.append(body if group.label is None else Labeled(group.label, body))
-        elif kind == "eof":
-            group = stack[-1]
-            if group.open_tok is not None:
-                raise ParseError("unclosed parenthesis", line, col)
-            return group.close((kind, value, line, col))
+            stack.append(_Group(True))
+        elif kind == "rparen" or kind == "eof":
+            group = stack.pop()
+            if group.paren != (kind == "rparen"):
+                message = "unclosed parenthesis" if group.paren else "unexpected trailing rparen"
+                raise _error(text, start, message)
+            if not group.atoms:
+                raise _error(text, start, f"expected a term, found {kind}")
+            t = group.atoms[0]
+            for a in group.atoms[1:]:
+                t = App(t, a)
+            for b in reversed(group.binders):
+                t = Lam(b, t)
+            if kind == "eof":
+                return t
+            stack[-1].atoms.append(t if group.label is None else Labeled(group.label, t))
         else:
-            raise ParseError(f"unexpected {kind}", line, col)
+            raise _error(text, start, f"unexpected {kind}")
 
 
 # Printing contexts: TOP admits anything bare, OPER parenthesizes

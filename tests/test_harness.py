@@ -273,6 +273,14 @@ def test_cli_parse_error(tmp_path):
     assert cli_main(["parse", str(f)]) == 2
 
 
+def test_cli_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "bytes.lam"
+    f.write_bytes(b"\\x.x \xff")
+    assert cli_main(["parse", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == "parse error: 1:6: unexpected character '\\udcff'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -49,6 +49,35 @@ def test_parse_errors_carry_position():
         parse("x ?")
 
 
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("x ?", "unexpected character '?'", 1, 3),
+        ("a\r\n\t?", "unexpected character '?'", 2, 2),  # CR and tab are one column each
+        ("-x", "unexpected character '-'", 1, 1),
+        ("x%²", "expected digits after '%'", 1, 3),  # ASCII digits only
+        ("x%٣", "expected digits after '%'", 1, 3),
+        ("f\n  x% y", "expected digits after '%'", 2, 5),
+        ("x \\y.y", "an abstraction here must be parenthesized", 1, 3),
+        ("\\.x", "expected ident, found dot", 1, 2),
+        ("\\x x", "expected dot, found ident", 1, 4),
+        ("\\x", "expected dot, found eof", 1, 3),
+        ("x%1:\\y.y", "expected lparen, found lambda", 1, 5),
+        ("x . y", "unexpected dot", 1, 3),
+        ("x)\n", "unexpected trailing rparen", 1, 2),
+        ("(\\x.x -- open\n", "unclosed parenthesis", 2, 1),
+        ("(\\x.x -- a comment at the end", "unclosed parenthesis", 1, 30),
+        ("", "expected a term, found eof", 1, 1),
+        ("\t-- nothing else", "expected a term, found eof", 1, 17),
+        ("l:()", "expected a term, found rparen", 1, 4),
+    ],
+)
+def test_parse_error_positions(text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (str(e.value), e.value.line, e.value.col) == (f"{line}:{col}: {message}", line, col)
+
+
 def test_print_minimal_parens():
     assert print_term(parse(r"\x.x x")) == r"\x.x x"
     assert print_term(parse("f a b")) == "f a b"
