@@ -16,6 +16,7 @@ efficient evaluator (lookupvar re-validates context grammars each time).
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from typing import Optional
 
 from .frames import (
@@ -26,6 +27,7 @@ from .frames import (
     balance,
     context_term,
     is_answer_frames,
+    is_eval_frames,
     matching_argument,
     plug,
     split_inner_partial,
@@ -88,22 +90,29 @@ def buildF(frames: Frames) -> Term:
 
 def subst_frames(frames: Frames, x, v: Term, supply: NameSupply, substitute) -> Frames:
     """Map substitute across every term embedded in a frame list; every
-    inserted copy is freshened (the original value lives in the control)."""
-    out = []
-    for f in frames:
-        if isinstance(f, ArgF):
-            out.append(ArgF(substitute(f.term, x, v, supply, keep_first=False)))
-        elif isinstance(f, LamF):
-            out.append(f)
+    inserted copy is freshened (the original value lives in the control).
+    Terms are substituted in frame order, a BodF's inner before its
+    between; a work list of suspended frame lists stands in for recursion.
+    Each list keeps its length, which splits a BodF's rebuilt frames."""
+    suspended = []  # (frames iterator, frames built, BodF) per BodF being rebuilt
+    it, out = iter(frames), []
+    while True:
+        for f in it:
+            if isinstance(f, ArgF):
+                out.append(ArgF(substitute(f.term, x, v, supply, keep_first=False)))
+            elif isinstance(f, LamF):
+                out.append(f)
+            else:
+                suspended.append((it, out, f))
+                it, out = chain(f.inner, f.between), []
+                break
         else:
-            out.append(
-                BodF(
-                    f.binder,
-                    subst_frames(f.inner, x, v, supply, substitute),
-                    subst_frames(f.between, x, v, supply, substitute),
-                )
-            )
-    return tuple(out)
+            if not suspended:
+                return tuple(out)
+            it, parent, f = suspended.pop()
+            n = len(f.inner)
+            parent.append(BodF(f.binder, tuple(out[:n]), tuple(out[n:])))
+            out = parent
 
 
 def step_ck(s: CKState, supply=None, substitute=None) -> Optional[tuple[str, CKState]]:
@@ -159,6 +168,8 @@ def step_ck(s: CKState, supply=None, substitute=None) -> Optional[tuple[str, CKS
             raise IllFormedState("binder/argument context is not an answer context")
         if split_outer_partial(rest, split[2]) is None:
             raise IllFormedState("outer context fails the partial-answer split")
+        if not is_eval_frames(rest):
+            raise IllFormedState("outer context is not an evaluation context")
         argument = frames[arg_at].term
         return LOOKUPVAR, CKState(argument, (BodF(name, inner, between),) + rest)
     raise IllFormedState(f"control is {type(control).__name__}")

@@ -28,6 +28,7 @@ never pair with an application outside it.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from .terms import HOLE, App, Frozen, Lam, Name, Term, Var
@@ -49,16 +50,26 @@ Frames = tuple  # of ArgF, LamF and BodF frames, innermost first
 
 
 def plug(frames: Frames, t: Term) -> Term:
-    """Wrap t in the context the frames denote."""
-    for f in frames:
-        if isinstance(f, ArgF):
-            t = App(t, f.term)
-        elif isinstance(f, LamF):
-            t = Lam(f.binder, t)
+    """Wrap t in the context the frames denote.  At a BodF the walk builds
+    the operator between[lam x. inner[x]] first, suspending the frames
+    outside it on a work list, so nested demand frames take no recursion."""
+    suspended = []  # (frames iterator, argument) per BodF whose operator is being built
+    it = iter(frames)
+    while True:
+        for f in it:
+            if isinstance(f, ArgF):
+                t = App(t, f.term)
+            elif isinstance(f, LamF):
+                t = Lam(f.binder, t)
+            else:
+                suspended.append((it, t))
+                it, t = chain(f.inner, (LamF(f.binder),), f.between), Var(f.binder)
+                break
         else:
-            operator = plug(f.between, Lam(f.binder, plug(f.inner, Var(f.binder))))
-            t = App(operator, t)
-    return t
+            if not suspended:
+                return t
+            it, argument = suspended.pop()
+            t = App(t, argument)
 
 
 def inject(t: Term) -> tuple[list, Term]:
@@ -120,23 +131,31 @@ def scan_demand(frames: Frames):
     opens = 0  # binders after the last BodF that nothing has closed yet
     pending = 0  # obligations the last BodF left open
     first_open = None
-    for i, f in enumerate(frames):
-        if isinstance(f, LamF):
-            if not opens:
-                first_open = i
-            opens += 1
-        elif isinstance(f, ArgF):
-            if opens:
-                opens -= 1
-            elif pending:
-                pending -= 1
+    suspended = []  # iterators of the frame lists whose BodF's inner is being scanned
+    it = enumerate(frames)
+    while True:
+        for i, f in it:
+            if isinstance(f, LamF):
+                if not opens:
+                    first_open = i
+                opens += 1
+            elif isinstance(f, ArgF):
+                if opens:
+                    opens -= 1
+                elif pending:
+                    pending -= 1
+            else:
+                if opens or pending or not is_answer_frames(f.between):
+                    return False, 0, None
+                suspended.append(it)
+                it = enumerate(f.inner)
+                break
         else:
-            if opens or pending or not is_answer_frames(f.between):
-                return False, 0, None
-            ok, pending, _ = scan_demand(f.inner)
-            if not ok:
-                return False, 0, None
-    return True, pending + opens, first_open if opens else None
+            if not suspended:
+                return True, pending + opens, first_open if opens else None
+            # the inner list's open obligations stand at its BodF's position
+            pending, opens = pending + opens, 0
+            it = suspended.pop()
 
 
 def is_answer_frames(frames: Frames) -> bool:
@@ -190,30 +209,27 @@ def split_inner_partial(frames: Frames) -> Optional[tuple[Frames, Frames, int]]:
 
 
 def split_outer_partial(frames: Frames, k: int) -> Optional[tuple[Frames, Frames]]:
-    """Split outward frames as (outer_partial_frames, eval_frames).
+    """Split outward frames as (outer_partial_frames, rest).
 
-    The outer partial part must consist of exactly k argument frames that
-    close nothing, ending at the k-th; with k = 0 it is empty.
+    The outer partial part is the shortest prefix holding k argument
+    frames that close nothing, ending at the k-th; with k = 0 it is empty.
+    None if a BodF or the end comes first.  It checks nothing about rest:
+    a caller that needs an evaluation context there asks is_eval_frames.
     """
     if k == 0:
-        return ((), frames) if is_eval_frames(frames) else None
-    seen = 0
-    stack = 0
+        return (), frames
+    seen = opens = 0
     for i, f in enumerate(frames):
         if isinstance(f, BodF):
             return None
         if isinstance(f, LamF):
-            stack += 1
+            opens += 1
+        elif opens:
+            opens -= 1
         else:
-            if stack:
-                stack -= 1
-            else:
-                seen += 1
-                if seen == k:
-                    rest = frames[i + 1 :]
-                    if not is_eval_frames(rest):
-                        return None
-                    return frames[: i + 1], rest
+            seen += 1
+            if seen == k:
+                return frames[: i + 1], frames[i + 1 :]
     return None
 
 

@@ -494,7 +494,7 @@ def check_unique_decomposition(max_size: int) -> UDReport:
         terms += 1
         ans, reds = enumerate_decompositions(t)
         total = len(ans) + len(reds)
-        d = need._search(t, strict=True)
+        d = need._search(t)
         if isinstance(d, need.Answer):
             answers += 1
         else:

@@ -11,15 +11,16 @@ function call, and hoists the argument's bindings above the result.
 
 The decomposition is found by a frame-stack search (the same walk the CK
 transition system performs), not by backtracking over the context
-grammars; the exhaustive grammar enumerator in needlab.oracle serves as
-its independent check.
+grammars.  The contexts the search builds are in the grammars by
+construction, so it re-checks none of them; the exhaustive grammar
+enumerator in needlab.oracle serves as its independent check.
 
 The axiom leaves the redex's outer context untouched, so the standard
 reduction refocuses (Danvy and Nielsen), as af's does: ``drive`` cuts its
-stack back to the outer context after each step and resumes the search,
-grammar checks and all, from the contractum.  Its (stack, term) states are
-plugged only for the answer and printed from the stack; step_sr is the
-one-shot step from the root.
+stack back to the outer context after each step and resumes the search
+from the contractum.  Its (stack, term) states are plugged only for the
+answer and printed from the stack; step_sr is the one-shot step from the
+root.
 """
 from __future__ import annotations
 
@@ -105,62 +106,39 @@ NeedDecomposition = Union[Answer, Redex]
 
 
 def is_answer(t: Term) -> Optional[tuple[AnswerContext, Term]]:
-    """The unique answer split of t, if t matches the answer grammar."""
-    ENTER, EXIT_FN, EXIT_BODY = 0, 1, 2
-    work: list = [(ENTER, t, None)]
-    results: list = []
-    while work:
-        phase, node, extra = work.pop()
-        if phase == ENTER:
-            if isinstance(node, Lam):
-                results.append(((), node))
-            elif isinstance(node, App):
-                work.append((EXIT_FN, node, None))
-                work.append((ENTER, node.fn, None))
-            else:
-                results.append(None)
-        elif phase == EXIT_FN:
-            split = results.pop()
-            if split is None:
-                results.append(None)
-            else:
-                fn_frames, fn_value = split
-                work.append((EXIT_BODY, node, (fn_frames, fn_value)))
-                work.append((ENTER, fn_value.body, None))
+    """The unique answer split of t, if t matches the answer grammar.
+
+    The walk goes down operators and, while an argument is pending, into
+    a binder's body; an answer ends on a value with none pending."""
+    stack: list = []  # outermost first
+    pending = 0
+    while True:
+        if isinstance(t, App):
+            stack.append(ArgF(t.arg))
+            pending += 1
+            t = t.fn
+        elif isinstance(t, Lam) and pending:
+            stack.append(LamF(t.binder))
+            pending -= 1
+            t = t.body
+        elif isinstance(t, Lam):
+            return AnswerContext(tuple(reversed(stack))), t
         else:
-            split = results.pop()
-            if split is None:
-                results.append(None)
-            else:
-                fn_frames, fn_value = extra
-                body_frames, value = split
-                frames = body_frames + (LamF(fn_value.binder),) + fn_frames + (ArgF(node.arg),)
-                results.append((frames, value))
-    split = results[0]
-    if split is None:
-        return None
-    return AnswerContext(split[0]), split[1]
+            return None
 
 
-class IllFormedTerm(AssertionError):
-    """The redex search hit a state the grammars rule out; for closed
-    hygienic inputs this is unreachable."""
-
-
-def _search(t: Term, strict: bool, stack: Optional[list] = None) -> Optional[NeedDecomposition]:
+def _search(t: Term, stack: Optional[list] = None) -> Optional[NeedDecomposition]:
     """Frame-stack redex search of plug(stack, t), growing and cutting the
     stack in place; it holds frames outermost-first, as an earlier search
-    left them, and is empty by default.
+    left them, and is empty by default.  None at a free variable or at a
+    node that is not App, Lam or Var.
 
-    `bal` tracks the argument/binder balance of the stack region above the
-    innermost BodF, so the descend decision is O(1) per lambda.
+    The frames it pushes are in the context grammars by construction (the
+    unique-decomposition property), so it checks none of them; the splits
+    at a redex only compute its fields.  `bal` tracks the argument/binder
+    balance of the stack region above the innermost BodF, so the descend
+    decision is O(1) per lambda.
     """
-
-    def fail(msg: str):
-        if strict:
-            raise IllFormedTerm(msg)
-        return None
-
     control, bal = t, 0
     stack = [] if stack is None else stack
     for f in reversed(stack):
@@ -184,23 +162,12 @@ def _search(t: Term, strict: bool, stack: Optional[list] = None) -> Optional[Nee
                     bod_at = i
                     break
             if bod_at is None:
-                frames = tuple(reversed(stack))
-                if not is_answer_frames(frames):
-                    return fail("value context is not an answer context")
-                return Answer(AnswerContext(frames), control)
-            arg_frames = tuple(reversed(stack[bod_at + 1 :]))
-            if not is_answer_frames(arg_frames):
-                return fail("argument context is not an answer context")
+                return Answer(AnswerContext(tuple(reversed(stack))), control)
             bod = stack[bod_at]
-            demand_split = split_inner_partial(bod.inner)
-            if demand_split is None:
-                return fail("body context fails the demand grammar")
-            demand, inner_partial, open_count = demand_split
-            outer_frames = tuple(reversed(stack[:bod_at]))
-            outer_split = split_outer_partial(outer_frames, open_count)
-            if outer_split is None:
-                return fail("outer context fails the partial-answer split")
-            outer_partial, outer = outer_split
+            demand, inner_partial, open_count = split_inner_partial(bod.inner)
+            outer_partial, outer = split_outer_partial(
+                tuple(reversed(stack[:bod_at])), open_count
+            )
             return Redex(
                 outer=outer,
                 outer_partial=outer_partial,
@@ -208,49 +175,38 @@ def _search(t: Term, strict: bool, stack: Optional[list] = None) -> Optional[Nee
                 binder=bod.binder,
                 inner_partial=inner_partial,
                 demand=demand,
-                arg_context=arg_frames,
+                arg_context=tuple(reversed(stack[bod_at + 1 :])),
                 value=control,
             )
         elif isinstance(control, Var):
             name = control.name
             lam_at = binder_at(stack, name)
             if lam_at is None:
-                return fail(f"demanded variable {name} is unbound")
+                return None
             depth = 0
-            arg_at = None
-            for i in range(lam_at - 1, -1, -1):
-                f = stack[i]
-                if isinstance(f, BodF):
-                    break
-                if isinstance(f, LamF):
+            for arg_at in range(lam_at - 1, -1, -1):  # out to the binder's argument
+                if isinstance(stack[arg_at], LamF):
                     depth += 1
                 elif depth == 0:
-                    arg_at = i
                     break
                 else:
                     depth -= 1
-            if arg_at is None:
-                return fail(f"binder {name} has no matching argument")
             inner = tuple(reversed(stack[lam_at + 1 :]))
             between = tuple(reversed(stack[arg_at + 1 : lam_at]))
-            if not is_answer_frames(between):
-                return fail("context between binder and argument not an answer context")
-            if split_inner_partial(inner) is None:
-                return fail("context around demanded variable fails the grammar")
             argument = stack[arg_at].term
             del stack[arg_at:]
             stack.append(BodF(name, inner, between))
             bal = 0
             control = argument
         else:
-            return fail(f"search reached {type(control).__name__}")
+            return None
 
 
 def decompose(t: Term) -> NeedDecomposition:
     """Unique decomposition of a closed term: answer or redex-in-context."""
     if not is_closed(t):
         raise OpenTermError("decompose requires a closed term")
-    d = _search(t, strict=True)
+    d = _search(t)
     assert d is not None
     return d
 
@@ -278,7 +234,7 @@ def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     t, supply, found = normalize(t, supply)
     if found.free:
         raise OpenTermError("step_sr requires a closed term")
-    d = _search(t, strict=True)  # decompose would re-check closedness
+    d = _search(t)  # decompose would re-check closedness
     if isinstance(d, Answer):
         return None
     return contract(d, supply, subst_normal)
@@ -293,7 +249,7 @@ def drive(state: tuple[list, Term], supply: NameSupply):
     read it before asking for the next step.  Steps preserve closedness,
     so the search runs without decompose's check."""
     stack, t = state
-    while not isinstance(d := _search(t, True, stack), Answer):
+    while not isinstance(d := _search(t, stack), Answer):
         del stack[len(d.outer) :]
         t = _contractum(d, supply, subst_normal)
         yield "beta-need", (stack, t)
@@ -396,7 +352,7 @@ def _replace_at(t: Term, path: Sequence[str], new: Term) -> Term:
 
 def redex_at_root(t: Term) -> Optional[Redex]:
     """The beta-need redex the term itself forms, if it is one."""
-    d = _search(t, strict=False)
+    d = _search(t)
     if isinstance(d, Redex) and not d.outer:
         return d
     return None

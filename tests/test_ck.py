@@ -304,3 +304,59 @@ def test_step_ck_on_a_state_that_is_not_normalized():
                 assert term_eq(build(state), parse(r"(\y.y) (\x.x)"))
                 break
         assert rules[-1] == "beta-need-ck"
+
+
+def _subst_frames_recursive(frames, x, v, supply, substitute):
+    # the reference: the recursive definition, for nests within the
+    # interpreter's recursion limit
+    out = []
+    for f in frames:
+        if isinstance(f, ArgF):
+            out.append(ArgF(substitute(f.term, x, v, supply, keep_first=False)))
+        elif isinstance(f, LamF):
+            out.append(f)
+        else:
+            inner = _subst_frames_recursive(f.inner, x, v, supply, substitute)
+            between = _subst_frames_recursive(f.between, x, v, supply, substitute)
+            out.append(BodF(f.binder, inner, between))
+    return tuple(out)
+
+
+def _demand_nest(depth):
+    # depth BodFs, each in the inner of the next: the operator of level k is
+    # (\wk.\xk.op(k-1) xk ik) bk, with op(-1) xk read as xk
+    frames, op = (), None
+    for k in range(depth):
+        x, w, i, b = (Name(base, k) for base in "xwib")
+        frames = (BodF(x, frames + (ArgF(Var(i)),), (LamF(w), ArgF(Var(b)))),)
+        body = App(Var(x) if op is None else App(op, Var(x)), Var(i))
+        op = App(Lam(w, Lam(x, body)), Var(b))
+    return frames, op
+
+
+def _logging_substitute(log):
+    def substitute(t, x, v, supply, keep_first):
+        log.append(print_term(t))
+        return App(t, v)
+
+    return substitute
+
+
+def test_frame_walks_take_no_recursion_on_nested_demand_frames():
+    from needlab.ck import subst_frames
+    from needlab.frames import plug
+
+    hole, z, v = Var(Name("h")), Name("z"), parse(r"\q.q")
+    for depth in (1, 2, 5, 3000):
+        frames, op = _demand_nest(depth)
+        assert term_eq(plug(frames, hole), App(op, hole))
+        assert split_inner_partial(frames) == (frames, (), 0)
+        assert is_eval_frames(frames) and not is_eval_frames(frames + (LamF(Name("y")),))
+        calls = []
+        got = subst_frames(frames, z, v, None, _logging_substitute(calls))
+        assert len(set(calls)) == 2 * depth and is_eval_frames(got)
+        if depth < 10:  # the recursive reference needs the interpreter's stack
+            ref_calls = []
+            want = _subst_frames_recursive(frames, z, v, None, _logging_substitute(ref_calls))
+            assert calls == ref_calls
+            assert term_eq(plug(got, hole), plug(want, hole))

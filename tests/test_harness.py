@@ -730,3 +730,23 @@ def test_cli_long_traces_within_default_recursion_limit(tmp_path, source):
         )
         assert proc.returncode == 0, (machine, proc.stderr.decode()[-2000:])
         assert b"RecursionError" not in proc.stderr, machine
+
+
+def test_cli_eval_ck_on_a_deep_demand_chain(tmp_path):
+    # (\a0.(\a1.( ... (\an.an) a(n-1) ... ) a1) a0) (\z.z) nests n demand
+    # frames; the frame walks must not recurse on them
+    n = 1100
+    text = rf"\a{n}.a{n}"
+    for k in range(n - 1, -1, -1):
+        text = rf"\a{k}.({text}) a{k}"
+    f = tmp_path / "chain.lam"
+    f.write_text(rf"({text}) (\z.z)" + "\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(needlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "needlab.cli", "eval", "--machine", "ck", "--fuel", "5000", str(f)],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    assert proc.stdout.decode() == "done in 4404 steps: \\z.z\n"

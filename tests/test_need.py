@@ -357,3 +357,46 @@ def test_contract_on_a_term_that_is_not_normalized():
     assert term_eq(contract(decompose(t), NameSupply(7)), want)
     assert [print_term(r) for r in compatible_reducts(t)] == [print_term(want)]
     assert [print_term(r) for r in compatible_reducts(t, NameSupply(7))] == [print_term(want)]
+
+
+def test_search_builds_contexts_in_the_grammars(monkeypatch):
+    # _search checks none of the contexts it builds; every decomposition it
+    # returns, from the root or resumed on a driver's stack, must still be
+    # in the grammars and plug back to the term searched
+    from needlab.frames import (
+        is_eval_frames,
+        plug,
+        split_inner_partial,
+        split_outer_partial,
+    )
+
+    real = need._search
+    seen = {"answer": 0, "redex": 0, "resumed": 0}
+
+    def checked(t, stack=None):
+        searched = plug(tuple(reversed(stack or ())), t)
+        seen["resumed"] += bool(stack)
+        d = real(t, stack)
+        if isinstance(d, Answer):
+            seen["answer"] += 1
+            assert is_answer_frames(d.context.frames)
+            assert term_eq(plug(d.context.frames, d.value), searched)
+        elif d is not None:
+            seen["redex"] += 1
+            assert is_answer_frames(d.arg_context) and is_answer_frames(d.binding)
+            split = split_inner_partial(d.demand + d.inner_partial)
+            assert split is not None and split[:2] == (d.demand, d.inner_partial)
+            assert split_outer_partial(d.outer_partial + d.outer, split[2]) == (
+                d.outer_partial,
+                d.outer,
+            )
+            assert is_eval_frames(d.outer)
+            assert term_eq(d.whole_term(), searched)
+        return d
+
+    monkeypatch.setattr(need, "_search", checked)
+    for i in range(300):
+        eval_sr(gen_closed(42 + i, 25), 1000)
+    for t in enumerate_closed(9):
+        compatible_reducts(t)
+    assert min(seen.values()) > 500, seen
