@@ -12,9 +12,11 @@ occurrences at once:
     lift'       ((lam x. A[v]) e1) e2    = (lam x. A[v e2]) e1
     assoc'      (lam x. E[x]) (A[v])     = A[(lam x. E[x]) v]   (A nonempty)
 
-Note lift' and assoc' carry the argument or the demanding call all the
-way in next to the value.  An assoc' contractum always contains an
-immediate beta-need' redex.
+Lift and assoc, plain or modified, are one move (``_reassociate``): a
+boundary frame, a pending argument for lift and a demanding call for
+assoc, goes in among an answer's layers, one layer in the plain calculus
+and all the way to the value in the modified one.  An assoc' contractum
+therefore always contains an immediate beta-need' redex.
 
 The redex search reuses the shared frame machinery: a BodF frame with an
 empty between-context plays the demand frame (lam x. E[x]) [] while the
@@ -124,21 +126,12 @@ def _step(
                 body = plug(inner, Var(name))
                 return BETA_NEED_MOD, subst_normal(body, name, arg, supply)
             split = af_answer_split(arg)
+            call = BodF(name, inner, ())
             if split is not None:
-                if modified:
-                    frames, value = split
-                    return ASSOC_MOD, plug(frames, App(Lam(name, plug(inner, Var(name))), value))
-                # one outer layer only: (lam x. E[x]) ((lam y. a) e)
-                outer_lam = arg.fn
-                new = App(
-                    Lam(
-                        outer_lam.binder,
-                        App(Lam(name, plug(inner, Var(name))), outer_lam.body),
-                    ),
-                    arg.arg,
-                )
-                return ASSOC, new
-            stack.append(BodF(name, inner, ()))
+                if not modified:  # only the outer layer (lam y. a) e moves; a is reused
+                    split = (LamF(arg.fn.binder), ArgF(arg.arg)), arg.fn.body
+                return _reassociate(call, *split, modified)
+            stack.append(call)
             control = arg
         else:
             raise AssertionError(f"reduction reached {type(control).__name__}")
@@ -155,6 +148,20 @@ def _binder_at(stack: list, where: dict, name) -> Optional[int]:
     return binder_at(stack, name)
 
 
+def _reassociate(boundary, layers: Frames, v: Term, modified: bool) -> tuple[str, Term]:
+    """lift, lift', assoc and assoc': boundary, an ArgF or a BodF, goes in
+    among the answer layers (innermost first) around v, under the outer
+    layer only in the plain calculus and all the way in the modified one."""
+    k = 0 if modified else len(layers) - 2
+    inside = plug(layers[:k], v)
+    if boundary.__class__ is ArgF:
+        rule, t = (LIFT_MOD if modified else LIFT), App(inside, boundary.term)
+    else:
+        call = Lam(boundary.binder, plug(boundary.inner, Var(boundary.binder)))
+        rule, t = (ASSOC_MOD if modified else ASSOC), App(call, inside)
+    return rule, plug(layers[k:], t)
+
+
 def _resolve_value(v: Term, stack: list, where: dict, modified: bool, supply: NameSupply):
     # consume answer layers: each is an ArgF directly under its LamF
     i = len(stack)
@@ -162,25 +169,13 @@ def _resolve_value(v: Term, stack: list, where: dict, modified: bool, supply: Na
         i -= 2
     if i == 0:
         return None, v  # whole term is an answer
-    pair_frames = tuple(reversed(stack[i:]))
+    layers = tuple(reversed(stack[i:]))
     boundary = stack[i - 1]
     del stack[i - 1 :]
-    if isinstance(boundary, ArgF):
-        # ((lam x. a) e1) e2 with at least one layer present
-        assert pair_frames, "application of a bare value cannot be a lift redex"
-        e2 = boundary.term
-        outer_lam = pair_frames[-2]
-        outer_arg = pair_frames[-1]
-        assert isinstance(outer_lam, LamF) and isinstance(outer_arg, ArgF)
-        inner_frames = pair_frames[:-2]
-        if modified:
-            body = plug(inner_frames, App(v, e2))
-        else:
-            body = App(plug(inner_frames, v), e2)
-        new = App(Lam(outer_lam.binder, body), outer_arg.term)
-        return (LIFT_MOD if modified else LIFT), new
-    assert isinstance(boundary, BodF) and not boundary.between
-    if not pair_frames and not modified:
+    if layers:
+        return _reassociate(boundary, layers, v, modified)
+    assert isinstance(boundary, BodF), "application of a bare value cannot be a lift redex"
+    if not modified:
         # argument reduced to a bare value: deref, the call back on the stack
         base = len(stack)
         stack += (ArgF(v), LamF(boundary.binder), *reversed(boundary.inner))
@@ -188,18 +183,7 @@ def _resolve_value(v: Term, stack: list, where: dict, modified: bool, supply: Na
         where.update((f.binder, k) for k, f in pushed if f.__class__ is LamF)
         return DEREF, freshen(v, supply)
     call_body = plug(boundary.inner, Var(boundary.binder))
-    if not pair_frames:
-        return BETA_NEED_MOD, subst_normal(call_body, boundary.binder, v, supply)
-    if modified:
-        return ASSOC_MOD, plug(pair_frames, App(Lam(boundary.binder, call_body), v))
-    outer_lam = pair_frames[-2]
-    outer_arg = pair_frames[-1]
-    inner_answer = plug(pair_frames[:-2], v)
-    new = App(
-        Lam(outer_lam.binder, App(Lam(boundary.binder, call_body), inner_answer)),
-        outer_arg.term,
-    )
-    return ASSOC, new
+    return BETA_NEED_MOD, subst_normal(call_body, boundary.binder, v, supply)
 
 
 def _step_from_root(t: Term, modified: bool, supply: Optional[NameSupply]):

@@ -52,8 +52,9 @@ class VarF(Frozen):
 
 
 class CKHState(Frozen, changed=None):
-    # heap: Name -> Term, insertion ordered, copied by a step that changes
-    # it; changed: the heap name the last step bound, checked out or rebound
+    # heap: Name -> Term, insertion ordered; the states of one drive share
+    # it, so read a state before asking for the next (a one-shot step copies
+    # it); changed: the heap name the last step bound, checked out or rebound
     __slots__ = ("control", "frames", "heap", "changed")
 
 
@@ -91,12 +92,17 @@ def _state_terms(s: CKHState):
         yield bound
 
 
-def step_ckh(s: CKHState, supply=None, substitute=None) -> Optional[tuple[str, CKHState]]:
+def step_ckh(
+    s: CKHState, supply=None, substitute=None, heap=None
+) -> Optional[tuple[str, CKHState]]:
     """One store-machine transition; absent iff the state is final.  The
     next state names the heap variable the step bound, checked out or
     rebound.  The state need not be normalized: substitute and supply
-    default to step_subst's for its terms."""
-    control, frames, heap = s.control, s.frames, s.heap
+    default to step_subst's for its terms.  The step changes heap in place
+    and the next state holds it; by default heap is a copy of s's."""
+    control, frames = s.control, s.frames
+    if heap is None:
+        heap = dict(s.heap)
     if isinstance(control, App):
         return PUSHARG, CKHState(control.fn, (ArgF(control.arg),) + frames, heap)
     if isinstance(control, Lam):
@@ -108,19 +114,16 @@ def step_ckh(s: CKHState, supply=None, substitute=None) -> Optional[tuple[str, C
                 supply, substitute = step_subst(_state_terms(s), supply)
             fresh = supply.fresh(control.binder.base)
             body = substitute(control.body, control.binder, Var(fresh), supply)
-            new_heap = dict(heap)
-            new_heap[fresh] = top.term
-            return DESCEND_LAM, CKHState(body, frames[1:], new_heap, fresh)
-        new_heap = dict(heap)
-        new_heap[top.name] = control
-        return UPDATEHEAP, CKHState(control, frames[1:], new_heap, top.name)
+            heap[fresh] = top.term
+            return DESCEND_LAM, CKHState(body, frames[1:], heap, fresh)
+        heap[top.name] = control
+        return UPDATEHEAP, CKHState(control, frames[1:], heap, top.name)
     if isinstance(control, Var):
         name = control.name
         if name not in heap:
             raise UnboundVariable(f"{name} is not in the heap")
-        new_heap = dict(heap)
-        binding = new_heap.pop(name)
-        return LOOKUPVAR, CKHState(binding, (VarF(name),) + frames, new_heap, name)
+        binding = heap.pop(name)
+        return LOOKUPVAR, CKHState(binding, (VarF(name),) + frames, heap, name)
     raise UnboundVariable(f"control is {type(control).__name__}")
 
 
@@ -360,7 +363,10 @@ def buildL(s: CKHState, reuse: Optional[ImageCache] = None) -> Term:
 
 
 def drive(s: CKHState, supply: NameSupply):
-    return iterate(partial(step_ckh, substitute=subst_normal), s, supply)
+    """Store-machine steps from s on one copy of its heap, which every step
+    changes in place and every state yielded holds: read a state before
+    asking for the next one."""
+    return iterate(partial(step_ckh, substitute=subst_normal, heap=dict(s.heap)), s, supply)
 
 
 def eval_ckh(t: Term, fuel: int):

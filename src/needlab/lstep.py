@@ -128,10 +128,8 @@ def step_lstep(t: Term, supply: Optional[NameSupply] = None, check: bool = True)
             break
     if label_at is None:
         return _plug(stack, contractum)
-    z = stack[label_at].label
-    inner = _plug(stack[label_at + 1 :], contractum)
-    whole = _plug(stack[:label_at], Labeled(z, inner))
-    return substlab(whole, z, inner)
+    # substlab rewrites every copy of the label's body in t, this one included
+    return substlab(t, stack[label_at].label, _plug(stack[label_at + 1 :], contractum))
 
 
 def drive(t: Term, supply: NameSupply):

@@ -93,10 +93,8 @@ class Redex:
     value: Term
 
     def redex_term(self) -> Term:
-        body = plug(self.demand, Var(self.binder))
-        fn = plug(self.binding, Lam(self.binder, plug(self.inner_partial, body)))
-        arg = plug(self.arg_context, self.value)
-        return plug(self.outer_partial, App(fn, arg))
+        call = BodF(self.binder, self.demand + self.inner_partial, self.binding)
+        return plug(self.arg_context + (call,) + self.outer_partial, self.value)
 
     def whole_term(self) -> Term:
         return plug(self.outer, self.redex_term())

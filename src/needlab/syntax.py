@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .frames import ArgF, Frames, LamF
+from .frames import ArgF, Frames, LamF, plug
 from .terms import HOLE, App, Labeled, Lam, Name, Term, Var
 
 #: One token at a time, by ``_TOKEN.match(text, at)``: a named group per
@@ -250,14 +250,15 @@ def _print(t: Term, level: int, memo: PrintMemo | None) -> str:
 
 
 def print_plugged(frames: Frames, t: Term, memo: PrintMemo | None = None) -> str:
-    """print_term(plug(frames, t), memo), printed frame by frame without
-    building the plugged term."""
+    """print_term(plug(frames, t), memo), printed frame by frame through a
+    StackPrinter without building the plugged term."""
     return StackPrinter(memo)(frames[::-1], t)
 
 
 def _frame_text(f, level: int, memo: PrintMemo | None):
     """(left, right, level of the hole) for one frame printed at level; the
-    pieces depend on nothing else."""
+    pieces depend on nothing else.  A BodF's operator is plugged and printed
+    as one term, so nested demand frames take no recursion."""
     if isinstance(f, ArgF):
         paren = level > _OPER
         arg = _print(f.term, _ATOM, memo)
@@ -266,9 +267,8 @@ def _frame_text(f, level: int, memo: PrintMemo | None):
         paren = level > _TOP
         piece = (("(" if paren else "") + f"\\{f.binder}.", ")" if paren else "", _TOP)
     else:  # BodF: the hole is the argument of between[\\x. inner[x]]
-        left, right, hole = StackPrinter(memo, _OPER).context(f.between[::-1])
-        lam = f"\\{f.binder}." + print_plugged(f.inner, Var(f.binder), memo)
-        operator = left + (f"({lam})" if hole > _TOP else lam) + right
+        operator = plug(f.inner + (LamF(f.binder),) + f.between, Var(f.binder))
+        operator = _print(operator, _OPER, None)
         paren = level > _OPER
         piece = (("(" if paren else "") + operator + " ", ")" if paren else "", _ATOM)
     return piece
@@ -281,19 +281,19 @@ class StackPrinter:
     state's stack did not hold, so the frames below its lowest cut are the
     ones that are still the same object at the same depth, and they keep
     their pieces: a state prints the frames above that depth, found from
-    the top down.  level is the outermost frame's, and text(frame, level,
-    memo) gives a frame's (left, right, level of the hole) pieces.
+    the top down, the outermost at the top level.  text(frame, level, memo)
+    gives a frame's (left, right, level of the hole) pieces.
     """
 
     __slots__ = ("memo", "text", "frames", "lefts", "rights", "levels")
 
-    def __init__(self, memo: PrintMemo | None = None, level: int = _TOP, text=_frame_text):
+    def __init__(self, memo: PrintMemo | None = None, text=_frame_text):
         self.memo = memo
         self.text = text
         self.frames: list = []
         self.lefts: list[str] = []
         self.rights: list[str] = []
-        self.levels = [level]  # the level each frame is printed at, then the hole's
+        self.levels = [_TOP]  # the level each frame is printed at, then the hole's
 
     def context(self, stack) -> tuple[str, str, int]:
         """The stack's left pieces outermost first, its right pieces

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from needlab.ckh import (
@@ -10,7 +12,9 @@ from needlab.ckh import (
     UnresolvableVariable,
     VarF,
     buildL,
+    drive,
     eval_ckh,
+    initial_state,
     inject_ckh,
     is_final,
     step_ckh,
@@ -18,7 +22,7 @@ from needlab.ckh import (
 from needlab.frames import ArgF
 from needlab.gen import gen_closed
 from needlab.lstep import is_cl, step_lstep
-from needlab.results import Done, Timeout
+from needlab.results import Done, Timeout, start
 from needlab.syntax import parse, print_term
 from needlab.terms import (
     App,
@@ -277,3 +281,12 @@ def test_steps_report_the_heap_name_they_change():
                 k: v for k, v in s2.heap.items() if k != name
             }
         s = s2
+
+
+def test_drive_keeps_one_heap_for_the_run():
+    # a drive's steps change one copy of the injected heap in place; a
+    # step that copied the heap would yield a new heap object
+    s, supply = start(gen_closed(921, 25), 4000, initial_state)
+    states = [state for _, state in islice(drive(s, supply), 4000)]
+    assert len(states) == 4000 and all(state.heap is states[0].heap for state in states)
+    assert len(states[-1].heap) == 667 and s.heap == {}

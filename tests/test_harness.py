@@ -708,14 +708,23 @@ def test_labeled_output_parses_back():
     assert labeled > 500
 
 
+def _demand_chain(n: int) -> str:
+    r"""(\a0.(\a1.( ... (\an.an) a(n-1) ... ) a1) a0) (\z.z): n nested demands."""
+    text = rf"\a{n}.a{n}"
+    for k in range(n - 1, -1, -1):
+        text = rf"\a{k}.({text}) a{k}"
+    return rf"({text}) (\z.z)"
+
+
 @pytest.mark.parametrize(
     "source",
-    [r"(\x0.x0 x0 x0) (\x1.x1 x1)", print_term(gen_closed(116, 25))],
-    ids=["omega3", "corpus74"],
+    [r"(\x0.x0 x0 x0) (\x1.x1 x1)", print_term(gen_closed(116, 25)), _demand_chain(300)],
+    ids=["omega3", "corpus74", "chain300"],
 )
 def test_cli_long_traces_within_default_recursion_limit(tmp_path, source):
-    # divergent witnesses at fuel 2000 grow deep terms and frame stacks;
-    # the CLI runs under the interpreter's default recursion limit
+    # divergent witnesses at fuel 2000 grow deep terms and frame stacks, and
+    # a demand chain nests demand frames 300 deep; the CLI runs under the
+    # interpreter's default recursion limit
     f = tmp_path / "w.lam"
     f.write_text(source + "\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(needlab.__file__)))
