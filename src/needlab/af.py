@@ -80,7 +80,10 @@ def af_answer_split(t: Term) -> Optional[tuple[Frames, Term]]:
 
 
 def is_af_answer(t: Term) -> bool:
-    return af_answer_split(t) is not None
+    """Whether af_answer_split(t) succeeds, by a walk that builds nothing."""
+    while t.__class__ is App and t.fn.__class__ is Lam:
+        t = t.fn.body
+    return t.__class__ is Lam
 
 
 def _step(
@@ -125,12 +128,13 @@ def _step(
             if isinstance(arg, Lam):
                 body = plug(inner, Var(name))
                 return BETA_NEED_MOD, subst_normal(body, name, arg, supply)
-            split = af_answer_split(arg)
             call = BodF(name, inner, ())
-            if split is not None:
-                if not modified:  # only the outer layer (lam y. a) e moves; a is reused
-                    split = (LamF(arg.fn.binder), ArgF(arg.arg)), arg.fn.body
-                return _reassociate(call, *split, modified)
+            if modified:
+                split = af_answer_split(arg)
+                if split is not None:
+                    return _reassociate(call, *split, True)
+            elif is_af_answer(arg):  # only the outer layer (lam y. a) e moves; a is reused
+                return _reassociate(call, (LamF(arg.fn.binder), ArgF(arg.arg)), arg.fn.body, False)
             stack.append(call)
             control = arg
         else:

@@ -71,17 +71,22 @@ def _name_db(structure, names: list[Name], occurrences: list[Var]) -> Term:
     return results[0]
 
 
-def enumerate_closed(max_size: int) -> Iterator[Term]:
-    """Every closed term with at most max_size nodes, one per alpha-class."""
+def enumerate_closed(max_size: int, part: int = 0, parts: int = 1) -> Iterator[Term]:
+    """Every closed term with at most max_size nodes, one per alpha-class;
+    of those, only the terms whose index k in that order has
+    k % parts == part are named and yielded."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     # Minted once per call and shared by the terms it yields (terms are
     # immutable); a closed term has fewer binders than nodes.
     names = [Name(f"x{i}") for i in range(max_size)]
     occurrences = [Var(name) for name in names]
+    k = 0  # the index of the first term of this size
     for size in range(1, max_size + 1):
-        for structure in _enum_db(size, 0):
+        structures = _enum_db(size, 0)
+        for structure in structures[(part - k) % parts :: parts]:
             yield _name_db(structure, names, occurrences)
+        k += len(structures)
 
 
 def count_closed(max_size: int) -> int:

@@ -32,13 +32,16 @@ required to match exactly up to alpha.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import count
+from operator import itemgetter
 from typing import Callable, Optional
 
 from . import af, ck, ckh, lstep, need
 from .frames import ArgF, inject
-from .gen import enumerate_closed, gen_closed
+from .gen import count_closed, enumerate_closed, gen_closed
 from .oracle import decomposition_matches, enumerate_decompositions
 from .results import Done, start
 from .syntax import PrintMemo, StackPrinter, print_term
@@ -282,13 +285,13 @@ class SimReport(_Report):
 @dataclass(frozen=True)
 class SimPair:
     """A source machine, the rules that must be exactly one step of the
-    target semantics (every other rule must be a no-op), the image
-    image(state, supply) of a source state in the target given the run's
-    name supply, and the target's single step (None on a final term)."""
+    target semantics (every other rule must be a no-op), images() giving
+    one run's image(state, supply), the target image of each state of the
+    run in turn, and the target's single step (None on a final term)."""
 
     source: str
     step_rules: frozenset
-    image: Callable
+    images: Callable
     one_step: Callable
 
 
@@ -302,25 +305,29 @@ def _ck_lstep_image(s: ck.CKState, supply: NameSupply) -> Term:
     return strip_value_labels(ck.build_step_term(s, supply.fork()))
 
 
+def _ckh_lstep_images() -> Callable:
+    """One run's labeled images of store-machine states: each buildL call
+    starts from what the last one kept in the run's ImageCache."""
+    reuse = ckh.ImageCache()
+    return lambda s, supply: strip_value_labels(ckh.buildL(s, reuse))
+
+
 def _lstep_one_step(m: Term) -> Optional[Term]:
     r = lstep.step_lstep(m, check=False)
     return None if r is None else strip_value_labels(r)
 
 
 SIM_TABLE = {
-    "ckh-lstep": SimPair(
-        "ckh",
-        frozenset({"descend-lam"}),
-        lambda s, supply: strip_value_labels(ckh.buildL(s)),
-        _lstep_one_step,
-    ),
+    "ckh-lstep": SimPair("ckh", frozenset({"descend-lam"}), _ckh_lstep_images, _lstep_one_step),
     "ck-need": SimPair(
         "ck",
         frozenset({"beta-need-ck"}),
-        lambda s, supply: ck.build(s),
+        lambda: lambda s, supply: ck.build(s),
         lambda m: need.step_sr(m),
     ),
-    "ck-lstep": SimPair("ck", frozenset({"descend-lam"}), _ck_lstep_image, _lstep_one_step),
+    "ck-lstep": SimPair(
+        "ck", frozenset({"descend-lam"}), lambda: _ck_lstep_image, _lstep_one_step
+    ),
 }
 
 SIM_PAIRS = tuple(SIM_TABLE)
@@ -334,7 +341,8 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
         raise ValueError(f"unknown pair {pair!r}; choose from {SIM_PAIRS}")
     source = MACHINE_TABLE[row.source]
     state, supply = start(t, fuel, source.inject, source.labels)
-    current_image = row.image(state, supply)
+    image = row.images()
+    current_image = image(state, supply)
     current_key = canon(current_image)
     violations: list = []
     rule_counts: dict = {}
@@ -348,7 +356,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
             break
         transitions += 1
         rule_counts[rule] = rule_counts.get(rule, 0) + 1
-        next_image = row.image(state, supply)
+        next_image = image(state, supply)
         next_key = canon(next_image)
         if rule in row.step_rules:
             stepped = row.one_step(current_image)
@@ -466,6 +474,29 @@ def run_diff(seed: int, count: int, max_size: int, fuel: int) -> DiffReport:
     return report
 
 
+def _audit(stripe: Callable, max_size: int) -> tuple[list, list]:
+    """Run stripe(part, parts) on every part of enumerate_closed(max_size)
+    and merge what each returns, (counts, [(k, failure), ...]) over the
+    terms k with k % parts == part: the counts summed and the failures in
+    enumeration order, so the result does not depend on parts.
+
+    There is one part per 1,000 terms, and at most one per CPU this
+    process may run on.  Several parts run on a pool of forked workers
+    that inherit the enumeration cache, filled here, and end with the
+    call; one part, or a platform without fork, runs in this process."""
+    import multiprocessing  # here, so that only an audit pays its import
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, count_closed(max_size) // 1000))
+    if parts == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        stripes = [stripe(0, 1)]
+    else:
+        with multiprocessing.get_context("fork").Pool(parts) as pool:
+            stripes = pool.starmap(stripe, [(part, parts) for part in range(parts)])
+    counts = [sum(column) for column in zip(*(c for c, _ in stripes))]
+    failures = sorted((f for _, found in stripes for f in found), key=itemgetter(0))
+    return counts, [failure for _, failure in failures]
+
+
 @dataclass
 class UDReport(_Report):
     max_size: int
@@ -487,10 +518,16 @@ def check_unique_decomposition(max_size: int) -> UDReport:
     derivation it finds), one frame-stack search and the canonical key of
     the search's result, which is looked up among the oracle's keys.
     Enumerated terms are closed, so the search runs without decompose's
-    closedness walk."""
+    closedness walk.  The terms are split among workers (``_audit``)."""
+    (terms, answers, redexes), failures = _audit(partial(_ud_stripe, max_size), max_size)
+    return UDReport(max_size, terms, answers, redexes, failures)
+
+
+def _ud_stripe(max_size: int, part: int, parts: int) -> tuple:
+    """The decomposition audit on one part of the terms, as ``_audit`` reads it."""
     terms = answers = redexes = 0
     failures: list = []
-    for t in enumerate_closed(max_size):
+    for k, t in zip(count(part, parts), enumerate_closed(max_size, part, parts)):
         terms += 1
         ans, reds = enumerate_decompositions(t)
         total = len(ans) + len(reds)
@@ -500,15 +537,14 @@ def check_unique_decomposition(max_size: int) -> UDReport:
         else:
             redexes += 1
         if total != 1 or not decomposition_matches(d, ans, reds):
-            failures.append(
-                {
-                    "term": print_term(t),
-                    "oracle_answers": len(ans),
-                    "oracle_redexes": len(reds),
-                    "search_found_answer": isinstance(d, need.Answer),
-                }
-            )
-    return UDReport(max_size, terms, answers, redexes, failures)
+            failure = {
+                "term": print_term(t),
+                "oracle_answers": len(ans),
+                "oracle_redexes": len(reds),
+                "search_found_answer": isinstance(d, need.Answer),
+            }
+            failures.append((k, failure))
+    return (terms, answers, redexes), failures
 
 
 @dataclass
@@ -531,26 +567,31 @@ def check_confluence(max_size: int, join_depth: int) -> CRReport:
     Per term this costs one name-supply walk and one redex search at each
     application node (need.compatible_reducts), plus a contraction and a
     canonical form per redex found; joining a pair explores the reducts of
-    each term it reaches once per audit, through a cache keyed by
-    canonical form."""
+    each term it reaches once per stripe (``_audit``), through a cache
+    keyed by canonical form."""
+    (terms, pairs), failures = _audit(partial(_cr_stripe, max_size, join_depth), max_size)
+    return CRReport(max_size, join_depth, terms, pairs, failures)
+
+
+def _cr_stripe(max_size: int, join_depth: int, part: int, parts: int) -> tuple:
+    """The joinability audit on one part of the terms, as ``_audit`` reads it."""
     terms = pairs = 0
     failures: list = []
     cache: dict = {}
-    for t in enumerate_closed(max_size):
+    for k, t in zip(count(part, parts), enumerate_closed(max_size, part, parts)):
         terms += 1
         reducts = need.compatible_reducts(t)
         for i in range(len(reducts)):
             for j in range(i + 1, len(reducts)):
                 pairs += 1
                 if not need.joinable(reducts[i], reducts[j], join_depth, _cache=cache):
-                    failures.append(
-                        {
-                            "term": print_term(t),
-                            "left": print_term(reducts[i]),
-                            "right": print_term(reducts[j]),
-                        }
-                    )
-    return CRReport(max_size, join_depth, terms, pairs, failures)
+                    failure = {
+                        "term": print_term(t),
+                        "left": print_term(reducts[i]),
+                        "right": print_term(reducts[j]),
+                    }
+                    failures.append((k, failure))
+    return (terms, pairs), failures
 
 
 def to_json_str(payload: dict) -> str:

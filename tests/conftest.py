@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 
 import pytest
@@ -32,3 +33,16 @@ def walks(monkeypatch):
 
     monkeypatch.setattr(terms.NameSupply, "for_terms", classmethod(for_terms))
     return counts
+
+
+@pytest.fixture(autouse=True)
+def no_stray_processes():
+    """Fails a test that leaves a multiprocessing child alive, after ending
+    the children, so that the tests after it start without them."""
+    yield
+    stray = multiprocessing.active_children()
+    message = f"left running: {stray}"
+    for child in stray:
+        child.terminate()
+        child.join()
+    assert not stray, message

@@ -1,5 +1,5 @@
 from needlab.gen import _enum_db, count_closed, enumerate_closed, gen_closed
-from needlab.syntax import parse
+from needlab.syntax import parse, print_term
 from needlab.terms import (
     App,
     Lam,
@@ -65,6 +65,14 @@ def test_enumerate_names_as_the_recursive_reference():
         assert is_closed(t) and is_hygienic(t)
     # nothing carries over from one call to the next
     assert all(term_eq(a, b) for a, b in zip(enumerate_closed(9), terms))
+
+
+def test_enumerate_stripes_interleave_to_the_whole_enumeration():
+    whole = [print_term(t) for t in enumerate_closed(8)]
+    for parts in (1, 2, 3, 7):
+        for part in range(parts):
+            stripe = [print_term(t) for t in enumerate_closed(8, part, parts)]
+            assert stripe == whole[part::parts]
 
 
 def test_enumerate_binder_naming_is_hygienic():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -118,7 +119,7 @@ def test_check_simulation_pairs():
 def test_ck_lstep_image_from_the_run_supply():
     # the image's labels come from a fork of the run's supply; the image
     # must be the one a supply seeded from the plugged state gives
-    image = SIM_TABLE["ck-lstep"].image
+    image = SIM_TABLE["ck-lstep"].images()
     states = 0
     for i in range(100):
         t = gen_closed(42 + i, 25)
@@ -243,6 +244,71 @@ def test_check_unique_decomposition_walks_no_free_vars(monkeypatch):
     _counting(monkeypatch, terms, "free_vars", calls)
     assert check_unique_decomposition(7).ok
     assert calls[0] == 0
+
+
+def _audit_reports(monkeypatch, cpus):
+    """Both audits' JSON at size 10 (10,180 terms) when the process may run
+    on cpus CPUs; neither audit leaves a worker behind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    ud = to_json_str(check_unique_decomposition(10).to_json())
+    assert multiprocessing.active_children() == []
+    cr = to_json_str(check_confluence(10, 10).to_json())
+    assert multiprocessing.active_children() == []
+    return ud, cr
+
+
+def _pools(monkeypatch) -> list:
+    """The start methods of the pools the audits make from now on."""
+    methods = []
+    real = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method: methods.append(method) or real(method)
+    )
+    return methods
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the audits pool by fork only"
+)
+
+
+@needs_fork
+def test_pooled_audits_report_what_the_serial_run_does(monkeypatch):
+    pools = _pools(monkeypatch)
+    pooled = _audit_reports(monkeypatch, 2)
+    assert pools == ["fork", "fork"]
+    assert _audit_reports(monkeypatch, 1) == pooled
+    assert pools == ["fork", "fork"]  # one CPU: no pool
+    ud, cr = (json.loads(text) for text in pooled)
+    assert ud["ok"] and cr["ok"] and ud["terms"] == cr["terms"] == 10180 and cr["pairs"] > 0
+
+
+@needs_fork
+def test_pooled_audits_keep_failures_in_enumeration_order(monkeypatch):
+    index = {print_term(t): k for k, t in enumerate(enumerate_closed(10))}
+    chosen = {text for text, k in index.items() if k in (0, 1, 1000, 5001, 5003, 10179)}
+    current = [None]
+    enumerate_real = harness.enumerate_decompositions
+    matches = harness.decomposition_matches
+
+    def enumerate_noting(t):
+        current[0] = print_term(t)
+        return enumerate_real(t)
+
+    monkeypatch.setattr(harness, "enumerate_decompositions", enumerate_noting)
+    monkeypatch.setattr(
+        harness, "decomposition_matches", lambda *a: current[0] not in chosen and matches(*a)
+    )
+    monkeypatch.setattr(need, "joinable", lambda *a, **k: False)  # every pair fails
+    pools = _pools(monkeypatch)
+    pooled = _audit_reports(monkeypatch, 2)
+    assert pools == ["fork", "fork"]
+    assert _audit_reports(monkeypatch, 1) == pooled
+    ud, cr = (json.loads(text) for text in pooled)
+    assert [index[f["term"]] for f in ud["failures"]] == [0, 1, 1000, 5001, 5003, 10179]
+    order = [index[f["term"]] for f in cr["failures"]]
+    assert len(order) == cr["pairs"] and order == sorted(order)
+    assert {k % 2 for k in order} == {0, 1}
 
 
 def test_cli_smoke(tmp_path, capsys):

@@ -25,16 +25,30 @@ from needlab import af, need
 from needlab.gen import enumerate_closed, gen_closed
 from needlab.harness import answer_value
 from needlab.results import Done
+from needlab.syntax import parse
 
-REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+#: The bench programs that need no prelude, and need-sr's steps on each.
+PROGRAM_STEPS = {
+    "add-succ": 93,
+    "mul-add": 53,
+    "sub-pred": 34,
+    "shared-numeral": 102,
+    "shared-boolean": 33,
+}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def ref():
-    spec = importlib.util.spec_from_file_location("bench_reference", REFERENCE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("reference")
 
 
 def _outcome(ref, machine, r):
@@ -74,3 +88,18 @@ def test_need_agrees_with_launchbury_on_every_small_term(ref):
         done += finished
         terms += 1
     assert (terms, done, terms - done) == (10180, 10179, 1)
+
+
+def test_need_agrees_with_launchbury_on_the_bench_programs(ref):
+    programs = _load("programs")
+    steps = {}
+    for name, tree in programs.PROGRAMS:
+        if name not in PROGRAM_STEPS:
+            continue  # it reads the prelude's free cons, car and cdr
+        t = parse(programs.source(tree))
+        db = ref.to_db(t)
+        agrees, done = _check_need(ref, t, db, 10_000)
+        assert agrees and done, name
+        _, steps[name], value = ref.eval_lazy(db, 10_000)
+        assert value == ref.parse_db(r"\t.\f.t" if programs.expected(tree) else r"\t.\f.f")
+    assert steps == PROGRAM_STEPS
