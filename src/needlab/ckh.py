@@ -12,9 +12,14 @@ trace can print and map a state at the cost of what the step changed.
 The mapping into the labeled semantics (``buildL``) folds the frames back
 into the control and then closes the result over the heap, wrapping each
 resolved binding in a label named after its heap variable.  Given the
-``ImageCache`` of the previous state of the same run, it closes again only
-the changed name, the checked-out bindings and the bindings that embed
-them.
+``ImageCache`` of the previous state of the same run, it drops only the
+labels of the changed name, of the checked-out names and of the names
+whose nodes embed theirs, and closes them again through one memo whose
+entries check themselves: a term's closure records the labeled nodes it
+was closed with and serves while they are the current ones, and nodes are
+made through the memo, so a label whose references come back as the same
+nodes comes back as the same node (hash-consing, Filliâtre & Conchon,
+ML Workshop 2006).
 """
 from __future__ import annotations
 
@@ -128,30 +133,21 @@ def step_ckh(
 
 
 class ImageCache:
-    """What buildL keeps of one state of a run for the next: each closed
-    name's labeled node (labels) and entry (names); the state's control,
-    frame arguments and kept bindings (pieces), each mapped to [the bound
-    names it references, its closed term]; and the App and Labeled nodes
-    made for the state (nodes), keyed by their two fields."""
+    """What buildL keeps of one state of a run for the next.  labels maps
+    each closed name to its labeled node, users each name to the names
+    whose nodes embed its, and bindings each closed heap name to its
+    binding and that binding's memo entry.  memo holds what the state's
+    image used: a term maps to [the bound names it references, their
+    labeled nodes when it was closed, its closed term], and a pair (a, b)
+    to the App or Labeled node made from a and b."""
 
-    __slots__ = ("labels", "names", "pieces", "nodes")
+    __slots__ = ("labels", "users", "bindings", "memo")
 
     def __init__(self):
         self.labels: dict[Name, Labeled] = {}
-        self.names: dict[Name, _Closed] = {}
-        self.pieces: dict[Term, list] = {}
-        self.nodes: dict[tuple, Term] = {}
-
-
-class _Closed:
-    """A closed name's entry: its heap binding (None for a checked-out
-    name), the bound names the binding references, and the names whose
-    labeled nodes embed this one's."""
-
-    __slots__ = ("term", "refs", "users")
-
-    def __init__(self, term: Optional[Term], refs: tuple):
-        self.term, self.refs, self.users = term, refs, set()
+        self.users: dict[Name, set] = {}
+        self.bindings: dict[Name, tuple] = {}
+        self.memo: dict = {}
 
 
 def _refs(t: Term, heap: dict, out: dict) -> tuple:
@@ -181,23 +177,24 @@ def buildL(s: CKHState, reuse: Optional[ImageCache] = None) -> Term:
     Every reference to a heap name becomes one labeled node, and a var
     frame binds its checked-out name to the fold below it.  reuse is empty,
     or was filled by this function for the previous state of the same run;
-    without it the cache starts empty.  A heap name keeps its binding until
-    a step checks it out or rebinds it, so three kinds of entry are dropped
-    and closed again: the name the step changed (``s.changed``), the
-    checked-out names (the fold moves at every step), and, through
-    ``_Closed.users``, every entry whose node embeds one of theirs.  A
-    piece of the last state keeps its closed term unless it references a
-    dropped name (its refs stay: a fresh name never occurs in an older
-    term), and a dropped binding offers its closed body as a piece, so the
-    control a lookup installs is not closed again.  Nodes are made through
-    the cache, so a pusharg or a lookup rebuilds the image it had; what is
-    kept stays the same object, which a trace's ``PrintMemo`` prints from
-    memory.
+    without it the cache starts empty.  A heap name keeps its labeled node
+    until a step checks it out or rebinds it, so three kinds of label are
+    dropped and closed again: the name the step changed (``s.changed``),
+    the checked-out names (the fold moves at every step), and, through
+    ``users``, every name whose node embeds one of theirs.  A dropped name
+    puts its node and its binding's entry back into the memo, so the
+    control a lookup installs closes as the binding did.  A memo entry
+    checks itself: a term's closure is used only while the labeled nodes of
+    its references are the ones it was closed with, and a node is made
+    through the memo, so a user whose references come back as the same
+    nodes is the same node again.  A call keeps only the entries it used.
+    A closed App control is registered as the node its halves' closures
+    make, so after a pusharg, as after a lookup, the image is the object
+    it was; what is kept stays the same object, which a trace's
+    ``PrintMemo`` prints from memory.
     """
-    if reuse is None:  # an empty cache
-        labels, names, old, made = {}, {}, {}, {}
-    else:
-        labels, names, old, made = reuse.labels, reuse.names, reuse.pieces, reuse.nodes
+    cache = ImageCache() if reuse is None else reuse
+    labels, users, bindings, old = cache.labels, cache.users, cache.bindings, cache.memo
     heap = s.heap
     out: dict = {}  # checked-out name -> (bottom, arguments) of the fold below its frame
     bottom, args = s.control, []
@@ -210,85 +207,61 @@ def buildL(s: CKHState, reuse: Optional[ImageCache] = None) -> Term:
             out[f.name] = (bottom, args)
             bottom, args = Var(f.name), []
 
-    dropped = set()
-    stale = [*out, s.changed] if names else ()
+    # drop the labels the step may have changed; a dropped name's node and
+    # its binding's entry go back into the last memo, where lookups start
+    stale = [*out, s.changed]
     while stale:
         name = stale.pop()
-        entry = names.pop(name, None)
-        if entry is not None:
-            node = labels.pop(name)
-            dropped.add(name)
-            stale += entry.users
-            if entry.term is not None:
-                old.setdefault(entry.term, [entry.refs, node.body])
-                made.setdefault((name, node.body), node)
-    new, making = {}, {}
-    if reuse is not None:
-        reuse.pieces, reuse.nodes = new, making
+        node = labels.pop(name, None)
+        if node is not None:
+            stale += users.pop(name)
+            binding, e = bindings.pop(name, (None, None))
+            if e is not None:
+                old[binding] = e
+            old[name, node.body] = node
+    memo = cache.memo = {}
+    current = labels.__getitem__
 
-    def make(kind, a, b, node: Optional[Term] = None) -> Term:
-        """kind(a, b): the node made for this state or the last if any,
-        else node if given, else a new one."""
-        key = (a, b)
-        hit = making.get(key)
-        if hit is None:
-            hit = made.get(key)
-            if hit is None:
-                hit = kind(a, b) if node is None else node
-            making[key] = hit
-        return hit
+    def entry(t: Term) -> list:  # of a term other than a variable
+        e = memo.get(t)
+        if e is None:
+            e = memo[t] = old.get(t) or [_refs(t, heap, out), None, None]
+        return e
 
-    def kept(t: Term) -> Optional[list]:  # t's piece from this state or the last
-        p = new.get(t)
-        if p is None:
-            p = old.get(t)
-            if p is None:
-                return None
-            if not dropped.isdisjoint(p[0]):  # a term's refs stay; its closure does not
-                p = [p[0], None]
-            new[t] = p
-        return p
-
-    def refs_of(t: Term) -> tuple:  # of the control, one of its halves or an argument
+    def refs_of(t: Term) -> tuple:
         if t.__class__ is Var:
             return (t.name,) if t.name in heap or t.name in out else ()
-        p = kept(t)
-        if p is None:
-            p = new[t] = [_refs(t, heap, out), None]
-        return p[0]
+        return entry(t)[0]
 
     def label_of(node: Var, env) -> Term:  # rewrite's var hook: a reference closed
         return labels.get(node.name, node)
 
-    def closed(t: Term) -> Term:  # a piece, once its refs are closed
+    def closed(t: Term, given: Optional[Term] = None) -> Term:
+        """t once its references are closed: its entry's closure while the
+        references' nodes are the ones it was closed with, else given (a
+        closure of t) or a new one."""
         if t.__class__ is Var:
             return labels.get(t.name, t)
-        p = new[t]
-        c = p[1]
-        if c is None:
-            c = p[1] = rewrite(t, var=label_of) if p[0] else t
-        if c.__class__ is App:
-            making.setdefault((c.fn, c.arg), c)
-        return c
+        e = entry(t)
+        nodes = tuple(map(current, e[0]))
+        if e[1] != nodes:  # nodes compare by identity
+            if given is None:
+                given = rewrite(t, var=label_of) if nodes else t
+            e[1], e[2] = nodes, given
+        return e[2]
+
+    def node(kind, a: Term, b: Term) -> Term:  # kind(a, b), made through the memo
+        made = memo.get((a, b))
+        if made is None:
+            made = memo[a, b] = old.get((a, b)) or kind(a, b)
+        return made
 
     def fold(t: Term, args: list) -> Term:  # t closed, args not yet
-        for a in args:  # make(App, t, closed(a)), inlined: the fold runs every step
-            key = (t, labels.get(a.name, a) if a.__class__ is Var else closed(a))
-            hit = making.get(key)
-            if hit is None:
-                hit = made.get(key)
-                if hit is None:
-                    hit = App(*key)
-                making[key] = hit
-            t = hit
+        for a in args:
+            t = node(App, t, closed(a))
         return t
 
     control = s.control
-    if control.__class__ is App:  # its halves are pieces too, for a pusharg next
-        halves = refs_of(control.fn) + refs_of(control.arg)
-        if kept(control) is None:
-            new[control] = [tuple(dict.fromkeys(halves)), None]
-
     # close the names the pieces reference, in dependency order, detecting
     # cycles; a checked-out name is closed here only if something other
     # than the frame above it references it
@@ -296,38 +269,28 @@ def buildL(s: CKHState, reuse: Optional[ImageCache] = None) -> Term:
     for segment in (*out.values(), (bottom, args)):
         for a in segment[1]:
             stack += refs_of(a)
-    found: dict[Name, tuple] = {}
     visiting: set[Name] = set()
     while stack:
         name = stack[-1]
-        if name in names:
+        if name in labels:
             stack.pop()
             continue
         b = out[name] if name in out else heap[name]
-        known = found.get(name)  # (refs, whether the binding is a piece)
-        if known is None:
-            if b.__class__ is tuple:
-                refs = refs_of(b[0])
-                for a in b[1]:
-                    refs += refs_of(a)
-                known = (tuple(dict.fromkeys(refs)), False)
-            else:
-                p = kept(b)
-                known = (_refs(b, heap, out), False) if p is None else (p[0], True)
-            found[name] = known
-        refs, is_piece = known
-        deps = [d for d in refs if d not in names]
+        if b.__class__ is tuple:
+            refs = tuple(dict.fromkeys(sum(map(refs_of, b[1]), refs_of(b[0]))))
+        else:
+            refs = refs_of(b)
+        deps = [d for d in refs if d not in labels]
         if not deps:
             if b.__class__ is tuple:
-                c, b = fold(closed(b[0]), b[1]), None
-            elif is_piece:
-                c = closed(b)
+                c = fold(closed(b[0]), b[1])
             else:
-                c = rewrite(b, var=label_of) if refs else b
-            labels[name] = make(Labeled, name, c)
-            names[name] = _Closed(b, refs)
+                c = closed(b)
+                bindings[name] = (b, memo.get(b))
+            labels[name] = node(Labeled, name, c)
+            users[name] = set()
             for d in refs:
-                names[d].users.add(name)
+                users[d].add(name)
             visiting.discard(name)
             stack.pop()
             continue
@@ -342,23 +305,11 @@ def buildL(s: CKHState, reuse: Optional[ImageCache] = None) -> Term:
                 raise UnresolvableVariable(f"cyclic heap reference through {d}")
             stack.append(d)
 
-    if control.__class__ is App:
-        p = new[control]
-        t = p[1]
-        if t is None:
-            fn, arg = closed(control.fn), closed(control.arg)
-            same = fn is control.fn and arg is control.arg
-            t = p[1] = make(App, fn, arg, control if same else None)
-        else:  # a kept closure: its halves close to its children
-            for half, c in ((control.fn, t.fn), (control.arg, t.arg)):
-                if half.__class__ is not Var and new[half][1] is None:
-                    new[half][1] = c
-            making.setdefault((t.fn, t.arg), t)
-    else:
-        t = closed(control)
+    t = closed(control)
+    if t.__class__ is App:  # for a pusharg next: its halves close as here and fold to t
+        memo[closed(control.fn, t.fn), closed(control.arg, t.arg)] = t
     for name, segment in out.items():  # innermost first
-        node = labels.get(name)
-        t = node if node is not None else make(Labeled, name, fold(t, segment[1]))
+        t = labels.get(name) or node(Labeled, name, fold(t, segment[1]))
     return fold(t, args)
 
 

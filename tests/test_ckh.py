@@ -227,9 +227,8 @@ def test_buildL_reuse_matches_fresh_build():
             if rule == UPDATEHEAP:
                 name = s.frames[0].name
                 rebound_dependency += any(
-                    e.term is s2.heap.get(k) and name in e.refs
-                    for k, e in reuse.names.items()
-                    if k != name
+                    k != name and k in reuse.labels and name in free_vars(v)
+                    for k, v in s2.heap.items()
                 )
             if n % 7 == 0:
                 # both paths refuse the state, and the cache still serves the run
@@ -290,3 +289,35 @@ def test_drive_keeps_one_heap_for_the_run():
     states = [state for _, state in islice(drive(s, supply), 4000)]
     assert len(states) == 4000 and all(state.heap is states[0].heap for state in states)
     assert len(states[-1].heap) == 667 and s.heap == {}
+
+
+def test_steps_that_keep_the_image_return_the_same_object():
+    # a pusharg or a lookup leaves the image as it was, and buildL must
+    # return the very object it returned before: a trace's PrintMemo then
+    # prints the step from memory
+    checked = 0
+    for t in [gen_closed(42 + i, 25) for i in range(300)] + [LEQ]:
+        sup = NameSupply.for_term(t)
+        s = inject_ckh(hygienize(t, sup))
+        reuse = ImageCache()
+        image = buildL(s, reuse)
+        for n, (rule, s2) in enumerate(islice(drive(s, sup), 1000)):
+            last, image = image, buildL(s2, reuse)
+            if rule in (PUSHARG, LOOKUPVAR):
+                assert image is last, f"{rule} at step {n + 1} of {print_term(t)}"
+                checked += 1
+    assert checked > 1000
+
+
+def test_image_cache_stays_bounded_on_a_long_run():
+    # the heap grows to 667 bindings, most of them unreachable, and the
+    # cache must not grow with it: a label lives until a step drops it, and
+    # the memo keeps only what the last call used
+    s, supply = start(gen_closed(921, 25), 4000, initial_state)
+    reuse = ImageCache()
+    peak = 0
+    for _, state in islice(drive(s, supply), 4000):
+        buildL(state, reuse)
+        tables = (reuse.labels, reuse.bindings, reuse.memo, *reuse.users.values())
+        peak = max(peak, sum(map(len, tables)))
+    assert len(state.heap) == 667 and peak <= 32
