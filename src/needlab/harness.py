@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import count
 from operator import itemgetter
@@ -46,6 +45,7 @@ from .oracle import decomposition_matches, enumerate_decompositions
 from .results import Done, start
 from .syntax import PrintMemo, StackPrinter, print_term
 from .terms import (
+    Frozen,
     NameSupply,
     Term,
     alpha_eq,
@@ -68,21 +68,14 @@ def close_answer_value(answer: Term) -> Term:
     return value
 
 
-@dataclass
-class TraceStep:
-    rule: str
-    term: str
-    mapped: Optional[str]
+class TraceStep(Frozen):
+    __slots__ = ("rule", "term", "mapped")  # mapped: the state's term, or None
 
 
-@dataclass
-class Trace:
-    machine: str
-    fuel: int
-    initial: str
-    steps: list[TraceStep]
-    verdict: str  # "done" | "timeout"
-    answer: Optional[str]
+class Trace(Frozen):
+    # steps: a list of TraceStep; verdict: "done" or "timeout"; answer: the
+    # final state's text, None on a timeout
+    __slots__ = ("machine", "fuel", "initial", "steps", "verdict", "answer")
 
     def to_json(self) -> dict:
         return {
@@ -187,8 +180,7 @@ def _answer(r: Done) -> Term:
     return r.answer  # call-by-name values are already closed
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(Frozen, labels=False):
     """How the harness runs one machine: eval(t, fuel) is its evaluator;
     drive(inject(t), supply) yields (rule, state) per step from a closed
     hygienic t, then (None, final state); printers(memo) gives one trace's
@@ -198,12 +190,7 @@ class Machine:
     through their modules at call time, so wrappers installed on those
     functions see the calls."""
 
-    eval: Callable
-    inject: Callable
-    drive: Callable
-    printers: Callable
-    value: Callable
-    labels: bool = False
+    __slots__ = ("eval", "inject", "drive", "printers", "value", "labels")
 
 
 MACHINE_TABLE = {
@@ -259,22 +246,23 @@ def run_eval(t: Term, machine: str, fuel: int) -> Trace:
     return Trace(machine, fuel, initial, steps, verdict, answer)
 
 
-class _Report:
-    """A report dataclass whose JSON is its fields and its verdict."""
+def _fields(record: Frozen) -> dict:
+    """A record's fields by name, in field order."""
+    return {f: getattr(record, f) for f in record.__slots__}
+
+
+class _Report(Frozen):
+    """A report whose JSON is its fields and its verdict."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {**_fields(self), "ok": self.ok}
 
 
-@dataclass
 class SimReport(_Report):
-    pair: str
-    term: str
-    fuel: int
-    transitions: int
-    completed: bool
-    rule_counts: dict
-    violations: list
+    # rule_counts: rule -> transitions; violations: at most one, as a dict
+    __slots__ = ("pair", "term", "fuel", "transitions", "completed", "rule_counts", "violations")
 
     @property
     def ok(self) -> bool:
@@ -282,17 +270,13 @@ class SimReport(_Report):
         return not self.violations and (self.transitions > 0 or self.completed)
 
 
-@dataclass(frozen=True)
-class SimPair:
+class SimPair(Frozen):
     """A source machine, the rules that must be exactly one step of the
     target semantics (every other rule must be a no-op), images() giving
     one run's image(state, supply), the target image of each state of the
     run in turn, and the target's single step (None on a final term)."""
 
-    source: str
-    step_rules: frozenset
-    images: Callable
-    one_step: Callable
+    __slots__ = ("source", "step_rules", "images", "one_step")
 
 
 def _ck_lstep_image(s: ck.CKState, supply: NameSupply) -> Term:
@@ -380,24 +364,15 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
     return SimReport(pair, print_term(t), fuel, transitions, completed, rule_counts, violations)
 
 
-@dataclass
-class DiffEntry:
-    index: int
-    term: str
-    verdicts: dict
-    steps: dict
-    value: Optional[str] = None
+class DiffEntry(Frozen):
+    # verdicts and steps: machine -> "done"/"timeout" and steps taken;
+    # value: need-sr's closed value when every machine is done
+    __slots__ = ("index", "term", "verdicts", "steps", "value")
 
 
-@dataclass
-class DiffReport:
-    seed: int
-    count: int
-    max_size: int
-    fuel: int
-    entries: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
-    inconclusive: list = field(default_factory=list)
+class DiffReport(Frozen):
+    # entries: a DiffEntry per term; mismatches and inconclusive: dicts
+    __slots__ = ("seed", "count", "max_size", "fuel", "entries", "mismatches", "inconclusive")
 
     @property
     def ok(self) -> bool:
@@ -407,7 +382,7 @@ class DiffReport:
         return {
             "corpus": {k: getattr(self, k) for k in ("seed", "count", "max_size", "fuel")},
             "machines": list(MACHINES),
-            "entries": [asdict(e) for e in self.entries],
+            "entries": [_fields(e) for e in self.entries],
             "mismatches": self.mismatches,
             "inconclusive": self.inconclusive,
             "ok": self.ok,
@@ -425,7 +400,9 @@ def run_diff(seed: int, count: int, max_size: int, fuel: int) -> DiffReport:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    report = DiffReport(seed, count, max_size, fuel)
+    entries: list = []
+    mismatches: list = []
+    inconclusive: list = []
     for i in range(count):
         t = gen_closed(seed + i, max_size)
         results = {m: MACHINE_TABLE[m].eval(t, fuel) for m in MACHINES}
@@ -435,43 +412,37 @@ def run_diff(seed: int, count: int, max_size: int, fuel: int) -> DiffReport:
                 if m not in done:
                     results[m] = MACHINE_TABLE[m].eval(t, fuel * 10)
             done = {m for m, r in results.items() if isinstance(r, Done)}
-        entry = DiffEntry(
-            index=i,
-            term=print_term(t),
-            verdicts={m: "done" if isinstance(r, Done) else "timeout" for m, r in results.items()},
-            steps={m: r.steps for m, r in results.items()},
-        )
+        term = print_term(t)
+        verdicts = {m: "done" if isinstance(r, Done) else "timeout" for m, r in results.items()}
+        value = None
         if done and done != set(MACHINES):
-            report.inconclusive.append(
-                {"index": i, "term": entry.term, "verdicts": entry.verdicts}
-            )
-            report.entries.append(entry)
-            continue
-        if done:
+            inconclusive.append({"index": i, "term": term, "verdicts": verdicts})
+        elif done:
             values = {m: answer_value(m, results[m]) for m in VALUE_MACHINES}
             keys = {m: canon(v) for m, v in values.items()}
-            entry.value = print_term(values["need-sr"])
+            value = print_term(values["need-sr"])
             if len(set(keys.values())) != 1:
-                report.mismatches.append(
+                mismatches.append(
                     {
                         "index": i,
-                        "term": entry.term,
+                        "term": term,
                         "kind": "value",
                         "values": {m: print_term(v) for m, v in values.items()},
                     }
                 )
             elif not alpha_eq(results["need-sr"].answer, results["ck"].answer):
-                report.mismatches.append(
+                mismatches.append(
                     {
                         "index": i,
-                        "term": entry.term,
+                        "term": term,
                         "kind": "whole-answer",
                         "need-sr": print_term(results["need-sr"].answer),
                         "ck": print_term(results["ck"].answer),
                     }
                 )
-        report.entries.append(entry)
-    return report
+        steps = {m: r.steps for m, r in results.items()}
+        entries.append(DiffEntry(i, term, verdicts, steps, value))
+    return DiffReport(seed, count, max_size, fuel, entries, mismatches, inconclusive)
 
 
 def _audit(stripe: Callable, max_size: int) -> tuple[list, list]:
@@ -497,13 +468,8 @@ def _audit(stripe: Callable, max_size: int) -> tuple[list, list]:
     return counts, [failure for _, failure in failures]
 
 
-@dataclass
 class UDReport(_Report):
-    max_size: int
-    terms: int
-    answers: int
-    redexes: int
-    failures: list
+    __slots__ = ("max_size", "terms", "answers", "redexes", "failures")
 
     @property
     def ok(self) -> bool:
@@ -547,13 +513,8 @@ def _ud_stripe(max_size: int, part: int, parts: int) -> tuple:
     return (terms, answers, redexes), failures
 
 
-@dataclass
 class CRReport(_Report):
-    max_size: int
-    join_depth: int
-    terms: int
-    pairs: int
-    failures: list
+    __slots__ = ("max_size", "join_depth", "terms", "pairs", "failures")
 
     @property
     def ok(self) -> bool:

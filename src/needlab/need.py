@@ -24,7 +24,6 @@ root.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .frames import (
@@ -44,8 +43,8 @@ from .frames import (
 from .results import evaluate
 from .terms import (
     App,
+    Frozen,
     Lam,
-    Name,
     NameSupply,
     OpenTermError,
     Term,
@@ -58,24 +57,20 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class AnswerContext:
+class AnswerContext(Frozen, frames=()):
     """Nesting of binder/argument layers; plugging a value yields an answer."""
 
-    frames: Frames = ()
+    __slots__ = ("frames",)
 
     def to_term(self) -> Term:
         return context_term(self.frames)
 
 
-@dataclass(frozen=True, eq=False)
-class Answer:
-    context: AnswerContext
-    value: Term
+class Answer(Frozen):
+    __slots__ = ("context", "value")
 
 
-@dataclass(frozen=True, eq=False)
-class Redex:
+class Redex(Frozen):
     """One beta-need redex under an outer evaluation context.
 
     The redex itself is outer_partial[(binding[lam binder. inner_partial[
@@ -83,14 +78,16 @@ class Redex:
     reconstructs the decomposed term.
     """
 
-    outer: Frames
-    outer_partial: Frames
-    binding: Frames
-    binder: Name
-    inner_partial: Frames
-    demand: Frames
-    arg_context: Frames
-    value: Term
+    __slots__ = (
+        "outer",
+        "outer_partial",
+        "binding",
+        "binder",
+        "inner_partial",
+        "demand",
+        "arg_context",
+        "value",
+    )
 
     def redex_term(self) -> Term:
         call = BodF(self.binder, self.demand + self.inner_partial, self.binding)
@@ -259,15 +256,10 @@ def eval_sr(t: Term, fuel: int):
     return evaluate(t, fuel, drive, build, inject)
 
 
-@dataclass(frozen=True, eq=False)
-class Partition:
+class Partition(Frozen):
     """An answer context split around one binder/argument pair."""
 
-    outer: Frames
-    mid: AnswerContext
-    inner: Frames
-    binder: Name
-    argument: Term
+    __slots__ = ("outer", "mid", "inner", "binder", "argument")
 
     def recompose(self) -> AnswerContext:
         frames = (

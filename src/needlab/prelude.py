@@ -7,16 +7,12 @@ diverges still terminates).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import parse
-from .terms import Name, Term, free_vars, subst
+from .terms import Frozen, Name, Term, free_vars, subst
 
 
-@dataclass(frozen=True)
-class PreludeBinding:
-    name: Name
-    expansion: Term
+class PreludeBinding(Frozen):
+    __slots__ = ("name", "expansion")
 
 
 CONS = PreludeBinding(Name("cons"), parse(r"\x.\y.\s.s x y"))

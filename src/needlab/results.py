@@ -9,9 +9,7 @@ not hygienic, and on a labeled term two more check its labels: ``is_cl``
 on the input, and ``alpha_eq`` of the renamed term to the input."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .terms import NameSupply, OpenTermError, Term, alpha_eq, is_cl, normalize
+from .terms import Frozen, NameSupply, OpenTermError, Term, alpha_eq, is_cl, normalize
 
 
 class LabeledTermError(ValueError):
@@ -24,15 +22,12 @@ class NotConsistentlyLabeled(LabeledTermError):
     """Two occurrences of one label hold different bodies."""
 
 
-@dataclass(frozen=True, eq=False)
-class Done:
-    answer: Term
-    steps: int
+class Done(Frozen):
+    __slots__ = ("answer", "steps")
 
 
-@dataclass(frozen=True)
-class Timeout:
-    steps: int
+class Timeout(Frozen):
+    __slots__ = ("steps",)
 
 
 def iterate(step, state, supply: NameSupply):

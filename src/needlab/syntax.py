@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .frames import ArgF, Frames, LamF, plug
+from .frames import ArgF, BodF, Frames, LamF
 from .terms import HOLE, App, Labeled, Lam, Name, Term, Var
 
 #: One token at a time, by ``_TOKEN.match(text, at)``: a named group per
@@ -257,8 +257,7 @@ def print_plugged(frames: Frames, t: Term, memo: PrintMemo | None = None) -> str
 
 def _frame_text(f, level: int, memo: PrintMemo | None):
     """(left, right, level of the hole) for one frame printed at level; the
-    pieces depend on nothing else.  A BodF's operator is plugged and printed
-    as one term, so nested demand frames take no recursion."""
+    pieces depend on nothing else."""
     if isinstance(f, ArgF):
         paren = level > _OPER
         arg = _print(f.term, _ATOM, memo)
@@ -267,11 +266,48 @@ def _frame_text(f, level: int, memo: PrintMemo | None):
         paren = level > _TOP
         piece = (("(" if paren else "") + f"\\{f.binder}.", ")" if paren else "", _TOP)
     else:  # BodF: the hole is the argument of between[\\x. inner[x]]
-        operator = plug(f.inner + (LamF(f.binder),) + f.between, Var(f.binder))
-        operator = _print(operator, _OPER, None)
+        operator = _operator_text(f, memo)
         paren = level > _OPER
         piece = (("(" if paren else "") + operator + " ", ")" if paren else "", _ATOM)
     return piece
+
+
+def _operator_frames(f: BodF) -> Frames:
+    """The frames of a BodF's operator between[\\x. inner[x]], outermost first."""
+    return f.between[::-1] + (LamF(f.binder),) + f.inner[::-1]
+
+
+def _operator_text(f: BodF, memo: PrintMemo | None) -> str:
+    """A BodF's operator printed at the operator level, frame by frame from
+    a work stack: a nested BodF's operator is pushed there, not printed by
+    a recursive call, and argument terms print through the memo."""
+    out: list[str] = []
+    # (frames outermost first, index of the next one, its level, the hole's text)
+    work: list = [(_operator_frames(f), 0, _OPER, str(f.binder))]
+    append, push, pop = out.append, work.append, work.pop
+    while work:
+        item = pop()
+        if item.__class__ is str:
+            append(item)
+            continue
+        frames, i, level, hole = item
+        if i == len(frames):
+            append(hole)
+            continue
+        g = frames[i]
+        if g.__class__ is BodF:
+            if level > _OPER:
+                append("(")
+                push(")")
+            push((frames, i + 1, _ATOM, hole))
+            push(" ")
+            push((_operator_frames(g), 0, _OPER, str(g.binder)))
+        else:
+            left, right, level = _frame_text(g, level, memo)
+            append(left)
+            push(right)
+            push((frames, i + 1, level, hole))
+    return "".join(out)
 
 
 class StackPrinter:

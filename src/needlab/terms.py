@@ -43,10 +43,11 @@ class Name(NamedTuple):
 
 
 class Frozen:
-    """Base of the immutable records every step builds, compared by identity
-    (the print memos key on it).  A subclass listing its fields in __slots__
-    gets an __init__ that stores each through its slot descriptor, cheaper
-    than object.__setattr__; class keywords give its last fields defaults."""
+    """Base of every record in the package, the ones every step builds among
+    them; compared by identity (the print memos key on it).  A subclass
+    listing its fields in __slots__ gets an __init__ that stores each
+    through its slot descriptor, cheaper than object.__setattr__; class
+    keywords give its last fields defaults, shared by every instance."""
 
     __slots__ = ()
 

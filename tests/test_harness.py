@@ -572,6 +572,44 @@ def test_check_simulation_is_byte_identical_to_golden(pair):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SIMULATIONS[pair]
 
 
+# sha256 of each report's JSON, recorded while the reports were dataclasses
+# that asdict serialized; check_confluence(9, 10) is the smallest
+# joinability audit that checks a pair (2 pairs over 2,622 terms)
+GOLDEN_REPORTS = {
+    "ud-7": (
+        lambda: check_unique_decomposition(7),
+        "12b3bc5c20ee9918e2889fd7054f50fc0ef98e827ac4e66d48ead4a6806b5b12",
+    ),
+    "cr-9": (
+        lambda: check_confluence(9, 10),
+        "d7bb68aef50e3ac69f5e4440983fcc9f015e44e91e7d5a30082cd4a6d4a439d3",
+    ),
+    "diff-42": (
+        lambda: run_diff(42, 20, 25, 200),
+        "b07fd5d7428d3b14f941cc715fb36a4f62aa1fe909ca01d997d8b3c89c6add18",
+    ),
+}
+
+
+@pytest.mark.parametrize("report", GOLDEN_REPORTS)
+def test_report_json_is_byte_identical_to_golden(report):
+    make, digest = GOLDEN_REPORTS[report]
+    payload = make().to_json()
+    assert payload["ok"] and (report != "cr-9" or payload["pairs"] == 2)
+    assert hashlib.sha256(to_json_str(payload).encode()).hexdigest() == digest
+
+
+def test_cli_imports_no_dataclasses():
+    # every needlab record is a slotted Frozen subclass: loading the CLI
+    # generates no dataclass code and imports neither dataclasses nor the
+    # inspect module it pulls in
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(needlab.__file__)))
+    code = "import needlab.cli, sys; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    assert proc.stdout.decode() == "False\n"
+
+
 #: Each machine's evaluator and the driver it passes to results.evaluate,
 #: by module attribute.
 EVALUATORS = {

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needlab import lstep
 from needlab.gen import gen_closed
 from needlab.lstep import (
     NotConsistentlyLabeled,
@@ -140,6 +141,7 @@ def test_substlab_clauses():
     s = lab(w, I())
     out = substlab(t, z, s)
     assert term_eq(out, App(lab(z, s), lab(z, s)))
+    assert out.fn is out.arg  # one replaced node for every copy
     # descends under binders, keeps other labels
     t2 = Lam(Name("y"), lab(z, I()))
     assert term_eq(substlab(t2, z, s), Lam(Name("y"), lab(z, s)))
@@ -219,3 +221,69 @@ def test_step_lstep_substitution_stops_at_shadowing_binder():
     r = step_lstep(parse(r"(\x.(\y.x) (\x.x)) (\z.z)"), check=False)
     shared = Labeled(Name("x", 1), parse(r"\z.z"))
     assert term_eq(r, App(Lam(Name("y"), shared), parse(r"\x.x")))
+
+
+def test_step_lstep_substitutes_each_copy_where_it_sits():
+    # one copy of k sits under a rebinding of x and keeps its x; a step
+    # that rewrote k's body once for both copies would substitute into both
+    t = parse(r"(\x.k:(x) (\x.k:(x))) (\z.z)")
+    assert is_cl(t)
+    assert term_eq(step_lstep(t), parse(r"k:(x%1:(\z.z)) (\x.k:(x))"))
+
+
+def dag_size(t):
+    """Distinct node objects in t: a body that copies share counts once."""
+    seen = {}
+    work = [t]
+    while work:
+        node = work.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if isinstance(node, App):
+                work += (node.fn, node.arg)
+            elif isinstance(node, (Lam, Labeled)):
+                work.append(node.body)
+    return len(seen)
+
+
+def substlab_unshared(t, z, s):
+    """substlab with a new Labeled(z, s) per copy and every copy of every
+    other label rewritten apart: the rewrite before bodies were shared."""
+
+    def enter(node):
+        if node.label != z:
+            return None
+        return node if node.body is s else Labeled(z, s)
+
+    return rewrite(t, enter)
+
+
+def subst_closed_unshared(t, x, s):
+    """lstep._subst_closed with every copy of a label rewritten apart."""
+
+    def var_fn(node, shadowed):
+        return s if shadowed is None and node.name == x else node
+
+    def lam_fn(node, shadowed):
+        return node.binder, (True if node.binder == x else shadowed)
+
+    return rewrite(t, var=var_fn, lam=lam_fn)
+
+
+def test_step_keeps_one_body_object_per_label(monkeypatch):
+    # (\x0.x0 x0) (\x1.x1 (x1 x1)) piles copies of its labels up: rewritten
+    # per copy, its state held 1,838 distinct nodes at step 15 and 49,224
+    # at step 20; shared, about two more per step
+    t = gen_closed(999684, 14)
+    shared = []
+    for i, u in enumerate(lstep_states(t, 60)):
+        assert dag_size(u) <= 200, i
+        shared.append(u)
+    assert len(shared) == 61
+    # the same states as the rewrites that unshare
+    monkeypatch.setattr(lstep, "substlab", substlab_unshared)
+    monkeypatch.setattr(lstep, "_subst_closed", subst_closed_unshared)
+    unshared = list(lstep_states(t, 15))
+    assert len(unshared) == 16 and dag_size(unshared[-1]) > 1000
+    for i, (a, b) in enumerate(zip(shared, unshared)):
+        assert term_eq(a, b), i

@@ -205,6 +205,17 @@ def test_print_plugged_matches_plugged_term():
     assert full_bodies > 100
 
 
+def test_print_plugged_takes_no_recursion_on_nested_demand_frames():
+    # each BodF's operator holds the next one in its inner or its between
+    # frames, 3,000 deep; the operators print from a work stack
+    x, y = Name("x"), Name("y")
+    f = BodF(x, (), ())
+    for i in range(3000):
+        f = BodF(x, (f, LamF(y)), ()) if i % 2 else BodF(y, (), (ArgF(Var(y)), f))
+    frames = (f, ArgF(Var(x)))
+    assert print_plugged(frames, HOLE, PrintMemo()) == print_term(plug(frames, HOLE))
+
+
 def _cut_and_push(rng, stack, push):
     # one step of a driver: cut the stack at a random depth, push new
     # frames; whether it cut below the last state's top and then grew
