@@ -29,6 +29,7 @@ from .terms import (
     erase,
     is_cl,
     rewrite,
+    shared_labels,
 )
 
 
@@ -38,34 +39,16 @@ def is_labeled_value(t: Term) -> bool:
     return isinstance(t, Lam)
 
 
-def _shared():
-    """rewrite's enter and leave hooks that rewrite each label's body once:
-    the node made at a label's first copy stands for every later copy, so
-    a step keeps one body object per label.  Sound where the rewrite of a
-    body does not depend on where its copy sits (consistent labeling makes
-    the copies equal)."""
-    done: dict = {}
-
-    def enter(node):
-        return done.get(node.label)
-
-    def leave(node, body):
-        new = done[node.label] = node if body is node.body else Labeled(node.label, body)
-        return new
-
-    return enter, leave
-
-
 def substlab(t: Term, z: Name, s: Term) -> Term:
     """Replace the body of every z-labeled subterm with s, keeping the
     wrapper; descends under other labels, binders, and applications.  Every
     replaced copy is one Labeled(z, s) node."""
     copy = Labeled(z, s)
-    shared, leave = _shared()
+    shared, leave = shared_labels()
 
-    def enter(node):
+    def enter(node, env):
         if node.label != z:
-            return shared(node)
+            return shared(node, env)
         return node if node.body is s else copy
 
     return rewrite(t, enter, leave)
@@ -95,24 +78,22 @@ def _subst_closed(t: Term, x: Name, s: Term) -> Term:
     """Insert the same closed s at every free occurrence of x in t.
 
     With s closed no binder of t can capture, so nothing is renamed and no
-    free-variable walk of s is needed; only binders of x shadow.  Each
-    label's body is rewritten once (``_shared``), which holds where no copy
-    sits under a binder of x, as in a hygienic state; on a t that binds x
-    again the walk is redone with every copy rewritten where it sits.
+    free-variable walk of s is needed; only binders of x shadow.  A copy's
+    rewrite depends only on whether it sits under a binder of x, so each
+    label's body is rewritten once per side (``shared_labels`` keyed on the
+    label and the shadowing), and every copy on that side shares the node.
     """
-    rebinders: list = []  # the binders of x met by the walk
 
     def var_fn(node, shadowed):
         return s if shadowed is None and node.name == x else node
 
     def lam_fn(node, shadowed):
-        if node.binder != x:
-            return node.binder, shadowed
-        rebinders.append(node)
-        return node.binder, True
+        return node.binder, (True if node.binder == x else shadowed)
 
-    out = rewrite(t, *_shared(), var_fn, lam_fn)
-    return rewrite(t, var=var_fn, lam=lam_fn) if rebinders else out
+    def key(node, shadowed):
+        return node.label, shadowed
+
+    return rewrite(t, *shared_labels(key), var_fn, lam_fn)
 
 
 def step_lstep(t: Term, supply: Optional[NameSupply] = None, check: bool = True) -> Optional[Term]:

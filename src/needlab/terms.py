@@ -253,9 +253,10 @@ def rewrite(t: Term, enter=None, leave=None, var=None, lam=None) -> Term:
     var(node, env) returns the term that replaces a variable; lam(node, env)
     returns an abstraction's new binder and its body's env, by default the
     binder and env as they are; env is None at the root.  Hooks act at
-    Labeled nodes: enter(node) returns a Term that replaces the node
-    unvisited, or None to descend; leave(node, body) rebuilds it from its
-    rewritten body (by default keeping the label).
+    Labeled nodes: enter(node, env) returns a Term that replaces the node
+    unvisited, or None to descend; leave(node, body, env) rebuilds it from
+    its rewritten body (by default keeping the label), under the env it
+    was entered with.
     """
     # a node on the work stack is entered; a tuple holding it is left, and a
     # Lam's tuple holds its new binder and the env outside it as well: the
@@ -279,7 +280,7 @@ def rewrite(t: Term, enter=None, leave=None, var=None, lam=None) -> Term:
                 _, binder, env = node
                 emit(done if last is done.body and binder == done.binder else Lam(binder, last))
             elif leave is not None:
-                emit(leave(done, last))
+                emit(leave(done, last, env))
             else:
                 emit(done if last is done.body else Labeled(done.label, last))
         elif cls is App:
@@ -291,7 +292,7 @@ def rewrite(t: Term, enter=None, leave=None, var=None, lam=None) -> Term:
             push((node, binder, env))
             push(node.body)
             env = inner
-        elif cls is Labeled and enter is not None and (short := enter(node)) is not None:
+        elif cls is Labeled and enter is not None and (short := enter(node, env)) is not None:
             emit(short)
         elif cls is Labeled:
             push((node,))
@@ -301,6 +302,28 @@ def rewrite(t: Term, enter=None, leave=None, var=None, lam=None) -> Term:
         else:
             emit(node)
     return results[0]
+
+
+def shared_labels(key=None):
+    """rewrite's enter and leave hooks that rewrite each label's body once:
+    the node made at the first copy with a key stands for every later copy
+    with that key, so one body object serves them all.  key(node, env) is
+    the label by default; a rewrite whose result at a copy depends on its
+    env keys on that as well.  Sound where consistent labeling makes the
+    copies with one key equal."""
+    done: dict = {}
+    if key is None:
+        def key(node, env):
+            return node.label
+
+    def enter(node, env):
+        return done.get(key(node, env))
+
+    def leave(node, body, env):
+        new = done[key(node, env)] = node if body is node.body else Labeled(node.label, body)
+        return new
+
+    return enter, leave
 
 
 def freshen(t: Term, supply: NameSupply) -> Term:
@@ -524,17 +547,7 @@ def normalize(t: Term, supply: Optional[NameSupply] = None) -> tuple[Term, NameS
         taken.add(ny)
         return ny, (y, ny, env)
 
-    enter = leave = None
-    if found.labeled:
-        renamed: dict[Name, Term] = {}
-
-        def enter(node):
-            return renamed.get(node.label)
-
-        def leave(node, body):
-            new = renamed[node.label] = node if body is node.body else Labeled(node.label, body)
-            return new
-
+    enter, leave = shared_labels() if found.labeled else (None, None)
     return rewrite(t, enter, leave, var_fn, lam_fn), supply, found
 
 
@@ -595,7 +608,7 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
 
 def erase(t: Term) -> Term:
     """Drop all label wrappers."""
-    return rewrite(t, leave=lambda node, body: body)
+    return rewrite(t, leave=lambda node, body, env: body)
 
 
 def strip_value_labels(t: Term) -> Term:
@@ -606,7 +619,7 @@ def strip_value_labels(t: Term) -> Term:
     the per-step machine-correspondence checks compare modulo this.
     """
 
-    def leave(node, body):
+    def leave(node, body, env):
         if isinstance(body, Lam):
             return body
         return node if body is node.body else Labeled(node.label, body)

@@ -82,7 +82,7 @@ def replace_nth_label_body(t, n, body):
     """t with the body of its n-th labeled node (preorder) replaced."""
     seen = [0]
 
-    def enter(node):
+    def enter(node, env):
         seen[0] += 1
         return Labeled(node.label, body) if seen[0] == n + 1 else None
 
@@ -228,7 +228,9 @@ def test_step_lstep_substitutes_each_copy_where_it_sits():
     # that rewrote k's body once for both copies would substitute into both
     t = parse(r"(\x.k:(x) (\x.k:(x))) (\z.z)")
     assert is_cl(t)
-    assert term_eq(step_lstep(t), parse(r"k:(x%1:(\z.z)) (\x.k:(x))"))
+    out = step_lstep(t)
+    assert term_eq(out, parse(r"k:(x%1:(\z.z)) (\x.k:(x))"))
+    assert out.arg is t.fn.body.arg  # the shadowed side is left as it was
 
 
 def dag_size(t):
@@ -250,7 +252,7 @@ def substlab_unshared(t, z, s):
     """substlab with a new Labeled(z, s) per copy and every copy of every
     other label rewritten apart: the rewrite before bodies were shared."""
 
-    def enter(node):
+    def enter(node, env):
         if node.label != z:
             return None
         return node if node.body is s else Labeled(z, s)
@@ -285,5 +287,49 @@ def test_step_keeps_one_body_object_per_label(monkeypatch):
     monkeypatch.setattr(lstep, "_subst_closed", subst_closed_unshared)
     unshared = list(lstep_states(t, 15))
     assert len(unshared) == 16 and dag_size(unshared[-1]) > 1000
+    for i, (a, b) in enumerate(zip(shared, unshared)):
+        assert term_eq(a, b), i
+
+
+def label_nodes(t):
+    """The distinct Labeled node objects of t, by label."""
+    seen, out = set(), {}
+    work = [t]
+    while work:
+        node = work.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, App):
+                work += (node.fn, node.arg)
+            elif isinstance(node, Lam):
+                work.append(node.body)
+            elif isinstance(node, Labeled):
+                out.setdefault(node.label, set()).add(id(node))
+                work.append(node.body)
+    return out
+
+
+def test_step_keeps_one_node_per_label_where_the_binder_reappears(monkeypatch):
+    # \m.m m m m applied to the numeral 2: the operator's binder (\f or \x)
+    # comes back inside its own body through the copies of 2 that the body
+    # holds.  Unfolded, the state reaches 812,832 nodes by step 60
+    t = parse(r"(\m.m m m m) (\f.\x.f (f x)) (\y.y) (\z.z)")
+    substituted = lstep._subst_closed
+    rebinds = []
+
+    def spy(body, x, s):
+        rebinds.append(any(isinstance(n, Lam) and n.binder == x for n in subterms(body)))
+        return substituted(body, x, s)
+
+    monkeypatch.setattr(lstep, "_subst_closed", spy)
+    shared = list(lstep_states(t, 120))
+    assert len(shared) == 121 and sum(rebinds) > 40
+    for i, u in enumerate(shared):
+        assert dag_size(u) <= 200, i
+        assert all(len(nodes) == 1 for nodes in label_nodes(u).values()), i
+    monkeypatch.setattr(lstep, "substlab", substlab_unshared)
+    monkeypatch.setattr(lstep, "_subst_closed", subst_closed_unshared)
+    unshared = list(lstep_states(t, 30))
+    assert sum(rebinds[:30]) > 10
     for i, (a, b) in enumerate(zip(shared, unshared)):
         assert term_eq(a, b), i
