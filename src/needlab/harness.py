@@ -291,9 +291,19 @@ def _ck_lstep_image(s: ck.CKState, supply: NameSupply) -> Term:
 
 def _ckh_lstep_images() -> Callable:
     """One run's labeled images of store-machine states: each buildL call
-    starts from what the last one kept in the run's ImageCache."""
+    starts from what the last one kept in the run's ImageCache.  A step
+    that keeps the image gets the same object back from buildL, and then
+    the same stripped image without stripping again."""
     reuse = ckh.ImageCache()
-    return lambda s, supply: strip_value_labels(ckh.buildL(s, reuse))
+    last = [None, None]  # buildL's last image and its stripped form
+
+    def image(s: ckh.CKHState, supply: NameSupply) -> Term:
+        built = ckh.buildL(s, reuse)
+        if built is not last[0]:
+            last[:] = built, strip_value_labels(built)
+        return last[1]
+
+    return image
 
 
 def _lstep_one_step(m: Term) -> Optional[Term]:
@@ -319,7 +329,12 @@ SIM_PAIRS = tuple(SIM_TABLE)
 
 def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
     """Replay one machine trace through a mapping function and classify
-    every transition as a no-op or exactly one step of the target."""
+    every transition as a no-op or exactly one step of the target.
+
+    Each transition compares two images by alpha_eq: the current one with
+    the next for a no-op, the current one stepped with the next for a step
+    rule.  Consecutive images mostly share their nodes, which alpha_eq
+    passes over without keying either term."""
     row = SIM_TABLE.get(pair)
     if row is None:
         raise ValueError(f"unknown pair {pair!r}; choose from {SIM_PAIRS}")
@@ -327,7 +342,6 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
     state, supply = start(t, fuel, source.inject, source.labels)
     image = row.images()
     current_image = image(state, supply)
-    current_key = canon(current_image)
     violations: list = []
     rule_counts: dict = {}
     transitions = 0
@@ -341,13 +355,12 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
         transitions += 1
         rule_counts[rule] = rule_counts.get(rule, 0) + 1
         next_image = image(state, supply)
-        next_key = canon(next_image)
         if rule in row.step_rules:
             stepped = row.one_step(current_image)
-            ok = stepped is not None and canon(stepped) == next_key
+            ok = stepped is not None and alpha_eq(stepped, next_image)
             kind = "one step"
         else:
-            ok = current_key == next_key
+            ok = alpha_eq(current_image, next_image)
             kind = "no-op"
         if not ok:
             violations.append(
@@ -360,7 +373,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
                 }
             )
             break
-        current_image, current_key = next_image, next_key
+        current_image = next_image
     return SimReport(pair, print_term(t), fuel, transitions, completed, rule_counts, violations)
 
 
@@ -481,8 +494,8 @@ def check_unique_decomposition(max_size: int) -> UDReport:
     grammar-enumeration oracle on every closed term up to max_size.
 
     Per term this costs one oracle enumeration (canonical keys for each
-    derivation it finds), one frame-stack search and the canonical key of
-    the search's result, which is looked up among the oracle's keys.
+    derivation it finds), one frame-stack search and a comparison of the
+    search's result with the oracle's derivations by alpha_eq.
     Enumerated terms are closed, so the search runs without decompose's
     closedness walk.  The terms are split among workers (``_audit``)."""
     (terms, answers, redexes), failures = _audit(partial(_ud_stripe, max_size), max_size)

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .frames import ArgF, BodF, Frames, LamF, context_term, is_answer_frames
 from .need import Answer, NeedDecomposition, Redex
-from .terms import App, Lam, Name, Term, Var, canon
+from .terms import App, Lam, Name, Term, Var, alpha_eq, canon
 
 
 def answer_splits(t: Term) -> list[tuple[Frames, Term]]:
@@ -115,17 +115,15 @@ def redexes_at_root(t: Term, outer: Frames) -> Iterator[Redex]:
             )
 
 
+def _redex_parts(r: Redex) -> Iterator[Term]:
+    """A redex decomposition's seven terms: its contexts, then its value."""
+    for frames in (r.outer, r.outer_partial, r.binding, r.inner_partial, r.demand, r.arg_context):
+        yield context_term(frames)
+    yield r.value
+
+
 def _redex_key(r: Redex):
-    return (
-        canon(context_term(r.outer)),
-        canon(context_term(r.outer_partial)),
-        canon(context_term(r.binding)),
-        (r.binder.base, r.binder.index),
-        canon(context_term(r.inner_partial)),
-        canon(context_term(r.demand)),
-        canon(context_term(r.arg_context)),
-        canon(r.value),
-    )
+    return (r.binder.base, r.binder.index), *map(canon, _redex_parts(r))
 
 
 def _answer_key(frames: Frames, value: Term):
@@ -151,7 +149,16 @@ def enumerate_decompositions(t: Term) -> tuple[dict, dict]:
 
 def decomposition_matches(d: NeedDecomposition, answers: dict, redexes: dict) -> bool:
     """Does the search result appear in the oracle's enumeration?  Takes
-    the dicts of enumerate_decompositions; only d's own key is computed."""
+    the dicts of enumerate_decompositions and compares d with each stored
+    derivation of its kind, component by component, by alpha_eq (and the
+    binder by name); d is never keyed."""
     if isinstance(d, Answer):
-        return _answer_key(d.context.frames, d.value) in answers
-    return _redex_key(d) in redexes
+        return any(
+            alpha_eq(context_term(d.context.frames), context_term(frames))
+            and alpha_eq(d.value, value)
+            for frames, value in answers.values()
+        )
+    return any(
+        d.binder == r.binder and all(map(alpha_eq, _redex_parts(d), _redex_parts(r)))
+        for r in redexes.values()
+    )

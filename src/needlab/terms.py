@@ -505,19 +505,20 @@ def is_cl(t: Term) -> bool:
     while stack:
         node = pop()
         cls = node.__class__
-        if cls is App:
+        while cls is Labeled:  # a chain of labels, followed in place
+            body = node.body
+            prev = bodies.get(node.label)
+            if prev is not None:
+                if prev is not body and not term_eq(prev, body):
+                    return False
+                break
+            bodies[node.label] = body
+            node, cls = body, body.__class__
+        if cls is App:  # a label met before leaves cls Labeled
             push(node.arg)
             push(node.fn)
         elif cls is Lam:
             push(node.body)
-        elif cls is Labeled:
-            body = node.body
-            prev = bodies.get(node.label)
-            if prev is None:
-                bodies[node.label] = body
-                push(body)
-            elif prev is not body and not term_eq(prev, body):
-                return False
     return True
 
 
@@ -602,8 +603,10 @@ def canon(t: Term) -> tuple:
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
-    """Alpha-equivalence: equality of the canonical forms (see ``canon``)."""
-    return canon(t1) == canon(t2)
+    """Alpha-equivalence: equality of the canonical forms (see ``canon``).
+    Terms equal as trees, a node shared by both counting as equal, are
+    alpha-equivalent without being keyed."""
+    return term_eq(t1, t2) or canon(t1) == canon(t2)
 
 
 def erase(t: Term) -> Term:

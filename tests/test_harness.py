@@ -17,6 +17,7 @@ from needlab.harness import (
     MACHINES,
     SIM_PAIRS,
     SIM_TABLE,
+    SimPair,
     _render_ckh,
     answer_value,
     check_confluence,
@@ -217,10 +218,11 @@ def test_check_confluence_searches_applications_only(monkeypatch):
 
 
 def test_check_unique_decomposition_keys_each_result_once(monkeypatch):
-    # canon runs for the oracle's keys and for the search result's key (2
-    # components for an answer; 7 for a redex, whose binder is kept as a
-    # name), never on a stored candidate
+    # canon runs for the oracle's keys only: the search result is compared
+    # with the oracle's derivations by alpha_eq, which finds their shared
+    # components equal as trees and keys neither
     calls = [0]
+    _counting(monkeypatch, terms, "canon", calls)
     _counting(monkeypatch, oracle, "canon", calls)
     inside = [0]
     enumerate_real = harness.enumerate_decompositions
@@ -235,7 +237,7 @@ def test_check_unique_decomposition_keys_each_result_once(monkeypatch):
     rep = check_unique_decomposition(7)
     assert rep.ok
     assert inside[0] > 0
-    assert calls[0] - inside[0] == 2 * rep.answers + 7 * rep.redexes
+    assert calls[0] - inside[0] == 0
 
 
 def test_check_unique_decomposition_walks_no_free_vars(monkeypatch):
@@ -570,6 +572,55 @@ def test_check_simulation_is_byte_identical_to_golden(pair):
     assert sum(r.transitions for r in reports) > 0
     text = "\n".join(to_json_str(r.to_json()) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SIMULATIONS[pair]
+
+
+def _one_step_returns_its_input(row):
+    return SimPair(row.source, row.step_rules, row.images, lambda m: m)
+
+
+def _images_keep_the_first(row):
+    def images():
+        image, first = row.images(), []
+
+        def again(s, supply):
+            if not first:
+                first.append(image(s, supply))
+            return first[0]
+
+        return again
+
+    return SimPair(row.source, row.step_rules, images, row.one_step)
+
+
+# sha256 of the check_simulation JSON lines of every pair, in SIM_PAIRS
+# order, on the first 80 corpus terms at fuel 400 with the pair's row
+# doctored; recorded while every image was compared by its canonical key
+DOCTORED_SIMULATIONS = {
+    "one-step-returns-its-input": (
+        _one_step_returns_its_input,
+        "974e244719b824476007e44f5e96293e5af35d670afaacdfda88d94aa472e913",
+    ),
+    "images-keep-the-first": (
+        _images_keep_the_first,
+        "e8433fe8341ac8fa6692a1aaebe0a10822adaedf15b63618bbc017af2fcbdd95",
+    ),
+}
+
+
+@pytest.mark.parametrize("doctor", DOCTORED_SIMULATIONS)
+def test_check_simulation_reports_violations_as_golden(monkeypatch, doctor):
+    make, digest = DOCTORED_SIMULATIONS[doctor]
+    terms = [gen_closed(42 + i, 25) for i in range(80)]
+    lines = []
+    for pair in SIM_PAIRS:
+        monkeypatch.setitem(SIM_TABLE, pair, make(SIM_TABLE[pair]))
+        reports = [check_simulation(t, pair, 400) for t in terms]
+        # a run stops at a violation exactly when it takes a step rule
+        steps = [bool(r.rule_counts.keys() & SIM_TABLE[pair].step_rules) for r in reports]
+        assert [bool(r.violations) for r in reports] == steps and sum(steps) > 30, pair
+        lines += [to_json_str(r.to_json()) for r in reports]
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # sha256 of each report's JSON, recorded while the reports were dataclasses

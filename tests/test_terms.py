@@ -2,11 +2,13 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needlab import ck, ckh
 from needlab.frames import ArgF, BodF, LamF, context_term
 from needlab.gen import enumerate_closed, gen_closed
-from needlab.lstep import substlab
+from needlab.lstep import is_labeled_value, step_lstep, substlab
 from needlab.syntax import parse, print_term
 from needlab.terms import (
     HOLE,
@@ -25,6 +27,7 @@ from needlab.terms import (
     is_closed,
     is_hygienic,
     normalize,
+    rewrite,
     scan,
     step_subst,
     strip_value_labels,
@@ -231,6 +234,78 @@ def test_alpha_eq_is_equivalence():
     assert alpha_eq(terms[0], terms[1]) == alpha_eq(terms[1], terms[0])
     if alpha_eq(terms[2], terms[3]) and alpha_eq(terms[3], parse(r"\p.\q.p q")):
         assert alpha_eq(terms[2], parse(r"\p.\q.p q"))
+
+
+def _agrees_with_canon(a, b):
+    """alpha_eq(a, b), after checking it against its definition by canon."""
+    equal = alpha_eq(a, b)
+    assert equal == (canon(a) == canon(b)) == alpha_eq(b, a), (print_term(a), print_term(b))
+    return equal
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=25))
+@settings(max_examples=150, deadline=None)
+def test_alpha_eq_agrees_with_canon_on_renamings(seed, size):
+    # renamed copies, other terms, and pairs that share one subterm object
+    t, other = gen_closed(seed, size), gen_closed(seed + 1, size)
+    renamed = freshen(t, NameSupply(1000))
+    assert _agrees_with_canon(t, renamed)
+    twice = App(t, t)  # its second copy's binders repeat the first's
+    assert _agrees_with_canon(twice, hygienize(twice, NameSupply(500)))
+    assert _agrees_with_canon(App(t, other), App(renamed, other))
+    _agrees_with_canon(t, other)
+    _agrees_with_canon(renamed, freshen(other, NameSupply(2000)))
+    _agrees_with_canon(App(other, t), App(renamed, other))
+
+
+def _relabeled(t, relabel):
+    """t with every label mapped through relabel, each label's body
+    rewritten once; unlabeled subtrees stay the same objects."""
+    done = {}
+
+    def leave(node, body, env):
+        return done.setdefault(node.label, Labeled(relabel(node.label), body))
+
+    return rewrite(t, lambda node, env: done.get(node.label), leave)
+
+
+def test_alpha_eq_agrees_with_canon_on_relabeled_lstep_states():
+    # labels compare modulo an injective renaming: a relabeled state is
+    # alpha_eq to itself until two of its labels merge
+    merged = 0
+    for i in [*range(100), 249]:
+        u = hygienize(gen_closed(42 + i, 25))
+        supply = NameSupply.for_term(u)
+        for _ in range(40):
+            if is_labeled_value(u):
+                break
+            u = step_lstep(u, supply, check=False)
+            assert _agrees_with_canon(u, _relabeled(u, lambda l: Name("r", l.index + 7)))
+            one = _relabeled(u, lambda l: Name("r"))
+            merged += not _agrees_with_canon(u, one)
+            _agrees_with_canon(u, strip_value_labels(u))
+            _agrees_with_canon(one, strip_value_labels(one))
+    assert merged > 100
+
+
+def test_alpha_eq_agrees_with_canon_where_binders_share_a_body():
+    # one object s (closed) or s2 (mentions x and y) under binders that
+    # differ by name, by order or by shadowing
+    x, y = Name("x"), Name("y")
+    s = parse(r"\z.z")
+    s2 = App(Var(x), Var(y))
+    cases = [
+        (Lam(x, App(Var(x), s)), Lam(y, App(Var(y), s)), True),
+        (Lam(x, s2), Lam(y, s2), False),
+        (Lam(x, Lam(y, s2)), Lam(y, Lam(x, s2)), False),
+        (Lam(y, Lam(x, s2)), Lam(x, Lam(x, s2)), False),
+        (Lam(y, Lam(x, s2)), Lam(y, Lam(x, s2)), True),
+        (Lam(x, Lam(x, App(Var(x), s))), Lam(y, Lam(x, App(Var(x), s))), True),
+        (App(Lam(x, s2), s2), App(Lam(x, s2), s2), True),
+        (App(Lam(x, s2), s2), App(Lam(y, s2), s2), False),
+    ]
+    for a, b, equal in cases:
+        assert _agrees_with_canon(a, b) is equal
 
 
 def test_subst_respects_alpha():
