@@ -44,7 +44,7 @@ from functools import partial
 from typing import Optional
 
 from .frames import ArgF, BodF, Frames, LamF, binder_at, build, inject, plug
-from .results import evaluate
+from .results import evaluate, require_closed_unlabeled
 from .terms import (
     App,
     Lam,
@@ -192,8 +192,7 @@ def _resolve_value(v: Term, stack: list, where: dict, modified: bool, supply: Na
 
 def _step_from_root(t: Term, modified: bool, supply: Optional[NameSupply]):
     t, supply, found = normalize(t, supply)
-    if found.free:
-        raise OpenTermError("a standard step requires a closed term")
+    require_closed_unlabeled(found, "a standard step")
     stack: list = []
     rule, new = _step(stack, {}, t, modified, supply)
     return None if rule is None else (rule, build((stack, new)))

@@ -45,6 +45,7 @@ from .terms import (
     Var,
     is_closed,
     step_subst,
+    strip_value_labels,
     subst_normal,
     subst_shared,
 )
@@ -175,15 +176,19 @@ def step_ck(s: CKState, supply=None, substitute=None) -> Optional[tuple[str, CKS
     raise IllFormedState(f"control is {type(control).__name__}")
 
 
-def build_step_term(s: CKState, supply: Optional[NameSupply] = None) -> Term:
+def build_step_term(s: CKState, supply: Optional[NameSupply] = None, strip: bool = False) -> Term:
     """Replay the frames as eager labeled substitutions, yielding the
     labeled-semantics image of the state.  Fresh labels come from the
-    supply; images are compared modulo label renaming."""
+    supply; images are compared modulo label renaming.  With strip, label
+    stacks on values are dropped (``strip_value_labels``), walking only an
+    image that a replay put a label in: one whose binder frames bind no
+    occurrence has none."""
     if supply is None:
         supply = NameSupply.for_terms((build(s),))
     fs = list(s.frames)  # innermost first; fs[i:] is still to replay
     i = 0
     e: Term = s.control
+    labeled = False
     while i < len(fs):
         f = fs[i]
         i += 1
@@ -198,8 +203,10 @@ def build_step_term(s: CKState, supply: Optional[NameSupply] = None) -> Term:
             assert is_answer_frames(fs[i:arg_at]), "context before the argument not an answer"
             label = supply.fresh(f.binder.base)
             argument = fs.pop(arg_at).term
-            e = subst_shared(e, f.binder, Labeled(label, argument), supply)
-    return e
+            new = subst_shared(e, f.binder, Labeled(label, argument), supply)
+            labeled = labeled or new is not e  # e itself: nothing substituted or renamed
+            e = new
+    return strip_value_labels(e) if strip and labeled else e
 
 
 def drive(s: CKState, supply: NameSupply):

@@ -139,15 +139,17 @@ class ImageCache:
     binding and that binding's memo entry.  memo holds what the state's
     image used: a term maps to [the bound names it references, their
     labeled nodes when it was closed, its closed term], and a pair (a, b)
-    to the App or Labeled node made from a and b."""
+    to the App or Labeled node made from a and b.  labeled says whether
+    the state's image holds a label."""
 
-    __slots__ = ("labels", "users", "bindings", "memo")
+    __slots__ = ("labels", "users", "bindings", "memo", "labeled")
 
     def __init__(self):
         self.labels: dict[Name, Labeled] = {}
         self.users: dict[Name, set] = {}
         self.bindings: dict[Name, tuple] = {}
         self.memo: dict = {}
+        self.labeled = False
 
 
 def _refs(t: Term, heap: dict, out: dict) -> tuple:
@@ -269,6 +271,7 @@ def buildL(s: CKHState, reuse: Optional[ImageCache] = None) -> Term:
     for segment in (*out.values(), (bottom, args)):
         for a in segment[1]:
             stack += refs_of(a)
+    cache.labeled = bool(stack or out)  # each reference and var frame makes a label
     visiting: set[Name] = set()
     while stack:
         name = stack[-1]

@@ -76,10 +76,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    t, _, found = normalize(_load_term(args))
-    if found.labeled:
-        raise LabeledTermError("the decomposition reads unlabeled terms only")
-    d = need.decompose(t)
+    d = need.decompose(normalize(_load_term(args))[0])
     if isinstance(d, need.Answer):
         print("answer")
         print(f"  context: {print_term(d.context.to_term())}")

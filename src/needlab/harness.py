@@ -53,6 +53,7 @@ from .terms import (
     erase,
     strip_value_labels,
     subst,
+    subst_normal,
 )
 
 
@@ -261,7 +262,10 @@ class _Report(Frozen):
 
 
 class SimReport(_Report):
-    # rule_counts: rule -> transitions; violations: at most one, as a dict
+    """One simulation run: term is the input Term, printed only by to_json,
+    since nothing else reads its text; rule_counts maps each rule to its
+    transitions, and violations holds at most one, as a dict."""
+
     __slots__ = ("pair", "term", "fuel", "transitions", "completed", "rule_counts", "violations")
 
     @property
@@ -269,58 +273,76 @@ class SimReport(_Report):
         # a run that made no transition and did not finish checked nothing
         return not self.violations and (self.transitions > 0 or self.completed)
 
+    def to_json(self) -> dict:
+        return {**super().to_json(), "term": print_term(self.term)}
+
 
 class SimPair(Frozen):
     """A source machine, the rules that must be exactly one step of the
     target semantics (every other rule must be a no-op), images() giving
     one run's image(state, supply), the target image of each state of the
-    run in turn, and the target's single step (None on a final term)."""
+    run in turn, and one_step(m, supply), the target's single step of the
+    image m (None on a final term).  images get the run's supply;
+    one_step gets a fork of it taken before the transition: its names are
+    fresh for every name of the state before it (the input's, or ones the
+    run had minted), so a step seeded from it walks no image, and they
+    come from the counter the source step drew from.  An image whose own names came from a
+    fork at that counter (ck-lstep's labels) is stepped from a walk."""
 
     __slots__ = ("source", "step_rules", "images", "one_step")
 
 
 def _ck_lstep_image(s: ck.CKState, supply: NameSupply) -> Term:
     """The labeled image of a CK state, its labels minted from a fork of
-    the run's supply.  The run's supply was seeded above every name of the
-    input, and every name a state holds is either one of those or one the
-    supply minted, so the fork's names are fresh for the state without
-    plugging and walking it.  The fork leaves the run's own counter where
-    it was."""
-    return strip_value_labels(ck.build_step_term(s, supply.fork()))
+    the run's supply, stripped of label stacks on values only if a replay
+    made a label.  The fork leaves the run's counter where it was, so the
+    next transition's seed would mint these labels again: ck-lstep seeds
+    its step from a walk of the image."""
+    return ck.build_step_term(s, supply.fork(), strip=True)
 
 
 def _ckh_lstep_images() -> Callable:
     """One run's labeled images of store-machine states: each buildL call
     starts from what the last one kept in the run's ImageCache.  A step
     that keeps the image gets the same object back from buildL, and then
-    the same stripped image without stripping again."""
+    the same stripped image without stripping again; a new image is
+    stripped only if it holds a label (``ImageCache.labeled``).  Its
+    labels are heap names, which the run minted, so ckh-lstep steps it
+    from the transition's seed."""
     reuse = ckh.ImageCache()
     last = [None, None]  # buildL's last image and its stripped form
 
     def image(s: ckh.CKHState, supply: NameSupply) -> Term:
         built = ckh.buildL(s, reuse)
         if built is not last[0]:
-            last[:] = built, strip_value_labels(built)
+            last[:] = built, strip_value_labels(built) if reuse.labeled else built
         return last[1]
 
     return image
 
 
-def _lstep_one_step(m: Term) -> Optional[Term]:
-    r = lstep.step_lstep(m, check=False)
+def _lstep_one_step(m: Term, supply: Optional[NameSupply]) -> Optional[Term]:
+    r = lstep.step_lstep(m, supply, check=False)  # without a supply, one above m's names
     return None if r is None else strip_value_labels(r)
+
+
+def _need_one_step(m: Term, supply: NameSupply) -> Optional[Term]:
+    """need-sr's step of a CK image, which the run keeps normalized as a
+    whole: the search and the contraction, without normalize's walk."""
+    d = need._search(m)
+    return None if isinstance(d, need.Answer) else need.contract(d, supply, subst_normal)
 
 
 SIM_TABLE = {
     "ckh-lstep": SimPair("ckh", frozenset({"descend-lam"}), _ckh_lstep_images, _lstep_one_step),
     "ck-need": SimPair(
-        "ck",
-        frozenset({"beta-need-ck"}),
-        lambda: lambda s, supply: ck.build(s),
-        lambda m: need.step_sr(m),
+        "ck", frozenset({"beta-need-ck"}), lambda: lambda s, supply: ck.build(s), _need_one_step
     ),
     "ck-lstep": SimPair(
-        "ck", frozenset({"descend-lam"}), lambda: _ck_lstep_image, _lstep_one_step
+        "ck",
+        frozenset({"descend-lam"}),
+        lambda: _ck_lstep_image,
+        lambda m, supply: _lstep_one_step(m, None),
     ),
 }
 
@@ -331,10 +353,13 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
     """Replay one machine trace through a mapping function and classify
     every transition as a no-op or exactly one step of the target.
 
-    Each transition compares two images by alpha_eq: the current one with
-    the next for a no-op, the current one stepped with the next for a step
-    rule.  Consecutive images mostly share their nodes, which alpha_eq
-    passes over without keying either term."""
+    Each transition compares two whole images by alpha_eq: the current
+    one with the next for a no-op, the current one stepped with the next
+    for a step rule.  Consecutive images mostly share their nodes, which
+    alpha_eq passes over without keying either term, and a step and the
+    source step it is checked against draw their names from one counter.
+    The input is walked once, by ``start``; the report prints it only in
+    its JSON."""
     row = SIM_TABLE.get(pair)
     if row is None:
         raise ValueError(f"unknown pair {pair!r}; choose from {SIM_PAIRS}")
@@ -346,6 +371,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
     rule_counts: dict = {}
     transitions = 0
     completed = False
+    seed = supply.fork()  # the run's counter before the transition
     for rule, state in source.drive(state, supply):
         if rule is None:
             completed = True
@@ -356,7 +382,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
         rule_counts[rule] = rule_counts.get(rule, 0) + 1
         next_image = image(state, supply)
         if rule in row.step_rules:
-            stepped = row.one_step(current_image)
+            stepped = row.one_step(current_image, seed)
             ok = stepped is not None and alpha_eq(stepped, next_image)
             kind = "one step"
         else:
@@ -374,7 +400,8 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
             )
             break
         current_image = next_image
-    return SimReport(pair, print_term(t), fuel, transitions, completed, rule_counts, violations)
+        seed = supply.fork()
+    return SimReport(pair, t, fuel, transitions, completed, rule_counts, violations)
 
 
 class DiffEntry(Frozen):

@@ -40,18 +40,17 @@ from .frames import (
     split_inner_partial,
     split_outer_partial,
 )
-from .results import evaluate
+from .results import evaluate, require_closed_unlabeled
 from .terms import (
     App,
     Frozen,
     Lam,
     NameSupply,
-    OpenTermError,
     Term,
     Var,
     canon,
-    is_closed,
     normalize,
+    scan,
     step_subst,
     subst_normal,
 )
@@ -198,12 +197,10 @@ def _search(t: Term, stack: Optional[list] = None) -> Optional[NeedDecomposition
 
 
 def decompose(t: Term) -> NeedDecomposition:
-    """Unique decomposition of a closed term: answer or redex-in-context."""
-    if not is_closed(t):
-        raise OpenTermError("decompose requires a closed term")
-    d = _search(t)
-    assert d is not None
-    return d
+    """Unique decomposition of a closed unlabeled term: answer or
+    redex-in-context."""
+    require_closed_unlabeled(scan(t), "decompose")
+    return _search(t)
 
 
 def _contractum(r: Redex, supply: NameSupply, substitute) -> Term:
@@ -227,8 +224,7 @@ def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     """One standard-reduction step; absent iff t is an answer.  Without a
     supply, fresh names are minted above every name of t."""
     t, supply, found = normalize(t, supply)
-    if found.free:
-        raise OpenTermError("step_sr requires a closed term")
+    require_closed_unlabeled(found, "step_sr")
     d = _search(t)  # decompose would re-check closedness
     if isinstance(d, Answer):
         return None

@@ -22,6 +22,15 @@ class NotConsistentlyLabeled(LabeledTermError):
     """Two occurrences of one label hold different bodies."""
 
 
+def require_closed_unlabeled(found, what: str) -> None:
+    """Reject, from the Scan of a one-shot step's input, an open or a
+    labeled term; what names the step."""
+    if found.free:
+        raise OpenTermError(f"{what} requires a closed term")
+    if found.labeled:
+        raise LabeledTermError(f"{what} reads unlabeled terms only")
+
+
 class Done(Frozen):
     __slots__ = ("answer", "steps")
 

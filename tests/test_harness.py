@@ -39,8 +39,10 @@ from needlab.terms import (
     hygienize,
     is_closed,
     is_hygienic,
+    scan,
     strip_value_labels,
     subterms,
+    term_eq,
 )
 
 T1 = r"((\x.(\y.\z.z y x) (\y.y)) (\x.x)) (\z.z)"
@@ -575,7 +577,7 @@ def test_check_simulation_is_byte_identical_to_golden(pair):
 
 
 def _one_step_returns_its_input(row):
-    return SimPair(row.source, row.step_rules, row.images, lambda m: m)
+    return SimPair(row.source, row.step_rules, row.images, lambda m, supply: m)
 
 
 def _images_keep_the_first(row):
@@ -621,6 +623,150 @@ def test_check_simulation_reports_violations_as_golden(monkeypatch, doctor):
         lines += [to_json_str(r.to_json()) for r in reports]
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("pair", SIM_PAIRS)
+def test_cli_check_sim_prints_the_report_and_its_term_parses_back(tmp_path, capsys, pair):
+    f = tmp_path / "t.lam"
+    transitions = 0
+    for i in (0, 8, 26, 33, 74):
+        t = gen_closed(42 + i, 25)
+        f.write_text(print_term(t) + "\n")
+        status = cli_main(["check-sim", "--pair", pair, "--fuel", "400", str(f)])
+        out = capsys.readouterr().out
+        rep = check_simulation(t, pair, 400)
+        assert status == 0 and rep.ok
+        assert out == to_json_str(rep.to_json()) + "\n"
+        assert term_eq(parse(json.loads(out)["term"]), t)
+        transitions += rep.transitions
+    assert transitions > 20
+
+
+def _patch_everywhere(monkeypatch, attr, real, replacement):
+    """Install replacement in every needlab module that imported real as attr."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "needlab" and getattr(module, attr, None) is real:
+            monkeypatch.setattr(module, attr, replacement)
+
+
+def _holds_label(t) -> bool:
+    return any(node.__class__ is terms.Labeled for node in subterms(t))
+
+
+def test_check_simulation_walks_only_what_its_checks_read(monkeypatch, walks):
+    # start's scan is the one walk of the input; ckh-lstep and ck-need step
+    # their images from the transition's seed without walking them, and
+    # ck-lstep walks its image once per step; the input is printed only by
+    # to_json, and only an image that holds a label is stripped
+    calls = {"normalize": 0, "print_term": 0}
+    stripped, stepping = [], [False]
+    for attr, real in (("normalize", terms.normalize), ("print_term", print_term)):
+
+        def counted(*args, _attr=attr, _real=real, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+
+        _patch_everywhere(monkeypatch, attr, real, counted)
+    real_strip = terms.strip_value_labels
+
+    def strip(t):
+        if not stepping[0]:  # an image, not a stepped one
+            stripped.append(t)
+        return real_strip(t)
+
+    _patch_everywhere(monkeypatch, "strip_value_labels", real_strip, strip)
+    corpus = [gen_closed(42 + i, 25) for i in range(100)]
+    for pair in SIM_PAIRS:
+        row = SIM_TABLE[pair]
+
+        def one_step(m, supply, _row=row, _pair=pair):
+            before = {**walks, **calls}
+            stepping[0] = True
+            try:
+                return _row.one_step(m, supply)
+            finally:
+                stepping[0] = False
+                if _pair != "ck-lstep":
+                    assert {**walks, **calls} == before, _pair
+
+        monkeypatch.setitem(SIM_TABLE, pair, SimPair(row.source, row.step_rules, row.images, one_step))
+        steps = strips = 0
+        for t in corpus:
+            walks.update(dict.fromkeys(walks, 0))
+            calls.update(dict.fromkeys(calls, 0))
+            stripped.clear()
+            rep = check_simulation(t, pair, 1000)
+            assert rep.ok
+            n = sum(rep.rule_counts.get(r, 0) for r in row.step_rules)
+            walked = n if pair == "ck-lstep" else 0
+            assert (walks["scan"], walks["subterms"], walks["for_terms"]) == (1, 0, walked), pair
+            # ck-lstep's replay takes the free names of each argument it labels
+            assert walks["free_vars"] == 0 or pair == "ck-lstep"
+            assert calls == {"normalize": 1, "print_term": 0}, pair
+            assert rep.to_json()["term"] == print_term(t) and calls["print_term"] == 1
+            assert all(map(_holds_label, stripped)), pair
+            steps += n
+            strips += len(stripped)
+        assert steps > 100 and (strips > 100 or pair == "ck-need"), pair
+
+
+def _stale_seeds(monkeypatch, corpus) -> dict:
+    """Per pair, over check_simulation runs on the corpus at fuel 1000:
+    [its step transitions, those whose target step minted from a supply
+    that does not start above every name of the image it stepped].  A
+    step given no supply seeds its own above the names of its term."""
+    counts = {}
+    current = []  # the pair, and the image the step transition steps
+
+    def seeded(supply):
+        pair, m = current
+        if supply is not None and supply.fork().fresh().index <= scan(m).top:
+            counts[pair][1] += 1
+
+    step_lstep, contract = lstep.step_lstep, need.contract
+
+    def lstep_seeded(t, supply=None, check=True):
+        seeded(supply)
+        return step_lstep(t, supply, check)
+
+    def contract_seeded(r, supply=None, substitute=None):
+        seeded(supply)
+        return contract(r, supply, substitute)
+
+    monkeypatch.setattr(lstep, "step_lstep", lstep_seeded)
+    monkeypatch.setattr(need, "contract", contract_seeded)
+    for pair in SIM_PAIRS:
+        row = SIM_TABLE[pair]
+        counts[pair] = [0, 0]
+
+        def one_step(m, supply, _row=row, _pair=pair):
+            counts[_pair][0] += 1
+            current[:] = _pair, m
+            return _row.one_step(m, supply)
+
+        monkeypatch.setitem(SIM_TABLE, pair, SimPair(row.source, row.step_rules, row.images, one_step))
+        for t in corpus:
+            assert check_simulation(t, pair, 1000).ok, pair
+    return counts
+
+
+def test_simulation_steps_mint_names_fresh_for_their_image(monkeypatch):
+    corpus = [gen_closed(42 + i, 25) for i in range(100)] + [LEQ]
+    counts = _stale_seeds(monkeypatch, corpus)
+    assert all(steps > 50 and stale == 0 for steps, stale in counts.values()), counts
+
+
+def test_only_the_freshness_check_sees_a_stale_ck_lstep_seed(monkeypatch):
+    # stepped from the transition's seed, a ck-lstep image gets a label
+    # name it already holds, since its labels were minted from a fork at
+    # that counter; on these terms every report stays ok (on LEQ the clash
+    # is a violation), so the freshness check is what catches it
+    row = SIM_TABLE["ck-lstep"]
+    mutant = SimPair(row.source, row.step_rules, row.images, harness._lstep_one_step)
+    monkeypatch.setitem(SIM_TABLE, "ck-lstep", mutant)
+    corpus = [gen_closed(42 + i, 25) for i in range(100)]
+    steps, stale = _stale_seeds(monkeypatch, corpus)["ck-lstep"]
+    assert stale > 0, steps
 
 
 # sha256 of each report's JSON, recorded while the reports were dataclasses
@@ -758,6 +904,16 @@ def test_eval_rejects_labeled_input_unless_the_machine_reads_labels(machine):
         if sim.source == machine:
             with pytest.raises(LabeledTermError):
                 check_simulation(parse(LABELED[0]), pair, 50)
+
+
+@pytest.mark.parametrize(
+    "step", [need.decompose, need.step_sr, af.step_af, af.step_afmod], ids=lambda f: f.__name__
+)
+def test_one_shot_steps_reject_labeled_input(step):
+    # the one walk each makes of its input sees the label
+    for source in LABELED:
+        with pytest.raises(LabeledTermError):
+            step(parse(source))
 
 
 @pytest.mark.parametrize("machine", MACHINES)
