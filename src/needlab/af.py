@@ -241,7 +241,10 @@ def eval_afmod(t: Term, fuel: int):
 
 def step_name(t: Term, supply: Optional[NameSupply] = None, substitute=None) -> Optional[Term]:
     """One call-by-name step: leftmost-outermost beta, absent on values.  t
-    need not be normalized: substitute and supply default to step_subst's."""
+    need not be normalized: substitute and supply default to step_subst's,
+    whose scan rejects labeled input."""
+    if substitute is None:
+        supply, substitute = step_subst((t,), supply)
     spine: list[App] = []
     c = t
     while isinstance(c, App):
@@ -252,8 +255,6 @@ def step_name(t: Term, supply: Optional[NameSupply] = None, substitute=None) -> 
     if not spine:
         return None
     redex_app = spine.pop()
-    if substitute is None:
-        supply, substitute = step_subst((t,), supply)
     new = substitute(c.body, c.binder, redex_app.arg, supply)
     for node in reversed(spine):
         new = App(new, node.arg)

@@ -25,7 +25,6 @@ from .frames import (
     Frames,
     LamF,
     balance,
-    context_term,
     is_answer_frames,
     is_eval_frames,
     matching_argument,
@@ -82,11 +81,6 @@ def is_final(s: CKState) -> bool:
 def build(s: CKState) -> Term:
     """Plug the control into the context the frames denote."""
     return plug(s.frames, s.control)
-
-
-def buildF(frames: Frames) -> Term:
-    """The frame context as a term with a distinguished hole."""
-    return context_term(frames)
 
 
 def subst_frames(frames: Frames, x, v: Term, supply: NameSupply, substitute) -> Frames:
@@ -227,7 +221,6 @@ __all__ = [
     "PUSHARG",
     "balance",
     "build",
-    "buildF",
     "build_step_term",
     "drive",
     "eval_ck",

@@ -132,11 +132,6 @@ class _CKHPrinter:
         )
 
 
-def _render_ckh(state: ckh.CKHState) -> str:
-    """A store-machine state printed from scratch."""
-    return _CKHPrinter()(state)
-
-
 def _print_terms(memo: PrintMemo):
     return partial(print_term, memo=memo), None
 
@@ -280,25 +275,16 @@ class SimReport(_Report):
 class SimPair(Frozen):
     """A source machine, the rules that must be exactly one step of the
     target semantics (every other rule must be a no-op), images() giving
-    one run's image(state, supply), the target image of each state of the
-    run in turn, and one_step(m, supply), the target's single step of the
-    image m (None on a final term).  images get the run's supply;
-    one_step gets a fork of it taken before the transition: its names are
-    fresh for every name of the state before it (the input's, or ones the
-    run had minted), so a step seeded from it walks no image, and they
-    come from the counter the source step drew from.  An image whose own names came from a
-    fork at that counter (ck-lstep's labels) is stepped from a walk."""
+    one run's image(state, seed), the target image of each state of the
+    run in turn, and one_step(m, seed), the target's single step of the
+    image m (None on a final term).  Each state has one seed, a fork of
+    the run's supply taken when the state is reached: its names are fresh
+    for every name of the state, and they come from the counter the next
+    source step draws from.  The image function mints from it first
+    (ck-lstep's labels), then the step of that image, above every name the
+    image holds: no step walks its image for a seed."""
 
     __slots__ = ("source", "step_rules", "images", "one_step")
-
-
-def _ck_lstep_image(s: ck.CKState, supply: NameSupply) -> Term:
-    """The labeled image of a CK state, its labels minted from a fork of
-    the run's supply, stripped of label stacks on values only if a replay
-    made a label.  The fork leaves the run's counter where it was, so the
-    next transition's seed would mint these labels again: ck-lstep seeds
-    its step from a walk of the image."""
-    return ck.build_step_term(s, supply.fork(), strip=True)
 
 
 def _ckh_lstep_images() -> Callable:
@@ -307,12 +293,11 @@ def _ckh_lstep_images() -> Callable:
     that keeps the image gets the same object back from buildL, and then
     the same stripped image without stripping again; a new image is
     stripped only if it holds a label (``ImageCache.labeled``).  Its
-    labels are heap names, which the run minted, so ckh-lstep steps it
-    from the transition's seed."""
+    labels are heap names, which the run minted below the state's seed."""
     reuse = ckh.ImageCache()
     last = [None, None]  # buildL's last image and its stripped form
 
-    def image(s: ckh.CKHState, supply: NameSupply) -> Term:
+    def image(s: ckh.CKHState, seed: NameSupply) -> Term:
         built = ckh.buildL(s, reuse)
         if built is not last[0]:
             last[:] = built, strip_value_labels(built) if reuse.labeled else built
@@ -321,28 +306,28 @@ def _ckh_lstep_images() -> Callable:
     return image
 
 
-def _lstep_one_step(m: Term, supply: Optional[NameSupply]) -> Optional[Term]:
-    r = lstep.step_lstep(m, supply, check=False)  # without a supply, one above m's names
+def _lstep_one_step(m: Term, seed: NameSupply) -> Optional[Term]:
+    r = lstep.step_lstep(m, seed, check=False)
     return None if r is None else strip_value_labels(r)
 
 
-def _need_one_step(m: Term, supply: NameSupply) -> Optional[Term]:
+def _need_one_step(m: Term, seed: NameSupply) -> Optional[Term]:
     """need-sr's step of a CK image, which the run keeps normalized as a
     whole: the search and the contraction, without normalize's walk."""
     d = need._search(m)
-    return None if isinstance(d, need.Answer) else need.contract(d, supply, subst_normal)
+    return None if isinstance(d, need.Answer) else need.contract(d, seed, subst_normal)
 
 
 SIM_TABLE = {
     "ckh-lstep": SimPair("ckh", frozenset({"descend-lam"}), _ckh_lstep_images, _lstep_one_step),
     "ck-need": SimPair(
-        "ck", frozenset({"beta-need-ck"}), lambda: lambda s, supply: ck.build(s), _need_one_step
+        "ck", frozenset({"beta-need-ck"}), lambda: lambda s, seed: ck.build(s), _need_one_step
     ),
     "ck-lstep": SimPair(
         "ck",
         frozenset({"descend-lam"}),
-        lambda: _ck_lstep_image,
-        lambda m, supply: _lstep_one_step(m, None),
+        lambda: lambda s, seed: ck.build_step_term(s, seed, strip=True),
+        _lstep_one_step,
     ),
 }
 
@@ -357,8 +342,8 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
     one with the next for a no-op, the current one stepped with the next
     for a step rule.  Consecutive images mostly share their nodes, which
     alpha_eq passes over without keying either term, and a step and the
-    source step it is checked against draw their names from one counter.
-    The input is walked once, by ``start``; the report prints it only in
+    source step it is checked against draw their names from one counter
+    (``SimPair``).  The input is walked once, by ``start``; the report prints it only in
     its JSON."""
     row = SIM_TABLE.get(pair)
     if row is None:
@@ -366,12 +351,12 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
     source = MACHINE_TABLE[row.source]
     state, supply = start(t, fuel, source.inject, source.labels)
     image = row.images()
-    current_image = image(state, supply)
+    seed = supply.fork()
+    current_image = image(state, seed)
     violations: list = []
     rule_counts: dict = {}
     transitions = 0
     completed = False
-    seed = supply.fork()  # the run's counter before the transition
     for rule, state in source.drive(state, supply):
         if rule is None:
             completed = True
@@ -380,7 +365,8 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
             break
         transitions += 1
         rule_counts[rule] = rule_counts.get(rule, 0) + 1
-        next_image = image(state, supply)
+        next_seed = supply.fork()
+        next_image = image(state, next_seed)
         if rule in row.step_rules:
             stepped = row.one_step(current_image, seed)
             ok = stepped is not None and alpha_eq(stepped, next_image)
@@ -399,8 +385,7 @@ def check_simulation(t: Term, pair: str, fuel: int) -> SimReport:
                 }
             )
             break
-        current_image = next_image
-        seed = supply.fork()
+        current_image, seed = next_image, next_seed
     return SimReport(pair, t, fuel, transitions, completed, rule_counts, violations)
 
 

@@ -29,7 +29,6 @@ from typing import Iterator, Optional, Sequence, Union
 from .frames import (
     ArgF,
     BodF,
-    Frames,
     LamF,
     binder_at,
     build,
@@ -40,10 +39,11 @@ from .frames import (
     split_inner_partial,
     split_outer_partial,
 )
-from .results import evaluate, require_closed_unlabeled
+from .results import LabeledTermError, evaluate, require_closed_unlabeled
 from .terms import (
     App,
     Frozen,
+    Labeled,
     Lam,
     NameSupply,
     Term,
@@ -316,6 +316,8 @@ def _positions(t: Term) -> Iterator[tuple[list, Term]]:
             stack.append((node.fn, depth, ("f",)))
         elif node.__class__ is Lam:
             stack.append((node.body, depth, ("b",)))
+        elif node.__class__ is Labeled:
+            raise LabeledTermError("compatible_reducts reads unlabeled terms only")
 
 
 def _replace_at(t: Term, path: Sequence[str], new: Term) -> Term:
@@ -349,7 +351,8 @@ def compatible_reducts(t: Term, supply: Optional[NameSupply] = None) -> list[Ter
 
     Only applications are tried: at an abstraction the search finds an
     answer and at a variable it fails, so neither is a redex.  t need not
-    be normalized: step_subst scans it at its first redex."""
+    be normalized: step_subst scans it at its first redex.  Labeled input
+    is rejected."""
     seen = set()
     out = []
     substitute = None

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .frames import ArgF, BodF, Frames, LamF, context_term, is_answer_frames
 from .need import Answer, NeedDecomposition, Redex
-from .terms import App, Lam, Name, Term, Var, alpha_eq, canon
+from .terms import App, Lam, Term, Var, alpha_eq, canon
 
 
 def answer_splits(t: Term) -> list[tuple[Frames, Term]]:

@@ -9,13 +9,16 @@ not hygienic, and on a labeled term two more check its labels: ``is_cl``
 on the input, and ``alpha_eq`` of the renamed term to the input."""
 from __future__ import annotations
 
-from .terms import Frozen, NameSupply, OpenTermError, Term, alpha_eq, is_cl, normalize
-
-
-class LabeledTermError(ValueError):
-    """Raised when a machine that reads only unlabeled terms is given a
-    labeled one, or a machine that reads labels is given a term whose
-    labels are not consistent."""
+from .terms import (
+    Frozen,
+    LabeledTermError,
+    NameSupply,
+    OpenTermError,
+    Term,
+    alpha_eq,
+    is_cl,
+    normalize,
+)
 
 
 class NotConsistentlyLabeled(LabeledTermError):

@@ -16,7 +16,7 @@ labeled semantics and the store machine's image print it.  Printed terms,
 labeled ones included, always parse back.
 
 Traces print one state after another, and consecutive states share most of
-their nodes.  ``print_term`` and ``print_plugged`` take an optional
+their nodes.  ``print_term`` and ``StackPrinter`` take an optional
 ``PrintMemo`` that carries the printed text of recent states' compound
 nodes, so that a state costs only what changed.  ``StackPrinter``, the one
 frame-stack printer, prints the states of one stack that steps cut and
@@ -247,12 +247,6 @@ def _print(t: Term, level: int, memo: PrintMemo | None) -> str:
             push(")")
             push((node.body, _TOP))
     return "".join(out)
-
-
-def print_plugged(frames: Frames, t: Term, memo: PrintMemo | None = None) -> str:
-    """print_term(plug(frames, t), memo), printed frame by frame through a
-    StackPrinter without building the plugged term."""
-    return StackPrinter(memo)(frames[::-1], t)
 
 
 def _frame_text(f, level: int, memo: PrintMemo | None):

@@ -27,6 +27,7 @@ of hooks to it.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
@@ -109,6 +110,12 @@ HOLE = _Hole()
 
 class OpenTermError(ValueError):
     """Raised when an operation requires a closed term."""
+
+
+class LabeledTermError(ValueError):
+    """Raised when a machine that reads only unlabeled terms is given a
+    labeled one, or a machine that reads labels is given a term whose
+    labels are not consistent."""
 
 
 class NameSupply:
@@ -213,9 +220,6 @@ def term_eq(t1: Term, t2: Term) -> bool:
 
 
 # Environment chains: None-terminated linked tuples (name, value, parent).
-_NIL = None
-
-
 def _chain_lookup(chain, name):
     while chain is not None:
         if chain[0] == name:
@@ -226,7 +230,7 @@ def _chain_lookup(chain, name):
 
 def free_vars(t: Term) -> set[Name]:
     out: set[Name] = set()
-    stack = [(t, _NIL)]
+    stack = [(t, None)]
     while stack:
         node, env = stack.pop()
         if isinstance(node, Var):
@@ -326,35 +330,51 @@ def shared_labels(key=None):
     return enter, leave
 
 
-def freshen(t: Term, supply: NameSupply) -> Term:
-    """Rename every binder in t to a fresh name (labels untouched)."""
+def _renaming(x: Optional[Name] = None, insert=None):
+    """rewrite's var hook under an env of renamings, (binder, its new name,
+    outer env): a bound variable takes its binder's new name, and a free
+    occurrence of x becomes insert()."""
 
     def var_fn(node, env):
         new = _chain_lookup(env, node.name)
-        return node if new is None else Var(new)
+        if new is None:
+            return insert() if node.name == x else node
+        return node if new == node.name else Var(new)
+
+    return var_fn
+
+
+def freshen(t: Term, supply: NameSupply) -> Term:
+    """Rename every binder in t to a fresh name (labels untouched)."""
 
     def lam_fn(node, env):
         nb = supply.fresh(node.binder.base)
         return nb, (node.binder, nb, env)
 
-    return rewrite(t, var=var_fn, lam=lam_fn)
+    return rewrite(t, var=_renaming(), lam=lam_fn)
 
 
-def _capture_avoiding(x: Name, fvs: set[Name], supply: NameSupply):
-    """The lam hook of substituting for x a term whose free variables are fvs:
-    binders of x block the substitution, and binders in fvs are renamed."""
+def _copies(s: Term, supply: NameSupply, keep_first: bool = True):
+    """The copies of s a substitution inserts, one per call: s itself first
+    unless keep_first is false, then copies with freshened binders."""
+    first = [s] if keep_first else []
+    return lambda: first.pop() if first else freshen(s, supply)
+
+
+def _substitute(t: Term, x: Name, s: Term, supply: Optional[NameSupply], copies) -> Term:
+    """The capture-avoiding rewrite of subst and subst_shared: with insert
+    = copies(s, supply), each free occurrence of x in t becomes insert(),
+    binders of x shadow, and binders free in s are renamed."""
+    if supply is None:
+        supply = NameSupply.for_terms((t, s))
+    fvs = free_vars(s)
 
     def lam_fn(node, env):
         y = node.binder
-        if y == x:
-            # x is shadowed below: block replacement via an identity entry.
-            return y, (y, y, env)
-        if y in fvs:
-            ny = supply.fresh(y.base)
-            return ny, (y, ny, env)
-        return y, (y, y, env)
+        ny = supply.fresh(y.base) if y != x and y in fvs else y
+        return ny, (y, ny, env)
 
-    return lam_fn
+    return rewrite(t, var=_renaming(x, copies(s, supply)), lam=lam_fn)
 
 
 def subst(
@@ -372,40 +392,23 @@ def subst(
     elsewhere and every inserted copy must be fresh.  Binders of t that
     would capture a free variable of s are renamed.
     """
-    if supply is None:
-        supply = NameSupply.for_terms((t, s))
-    first = [s] if keep_first else []
-
-    def var_fn(node, env):
-        new = _chain_lookup(env, node.name)
-        if new is not None:
-            return node if new == node.name else Var(new)
-        if node.name == x:
-            return first.pop() if first else freshen(s, supply)
-        return node
-
-    return rewrite(t, var=var_fn, lam=_capture_avoiding(x, free_vars(s), supply))
+    return _substitute(t, x, s, supply, partial(_copies, keep_first=keep_first))
 
 
 def subst_normal(t: Term, x: Name, s: Term, supply: NameSupply, keep_first: bool = True) -> Term:
     """``subst`` where no binder of t is x or free in s, as in a normalized
-    state: no environment and no fv(s), and the same copies, freshened in
-    the same order, so the supply mints the same names."""
-    first = [s] if keep_first else []
-
-    def var_fn(node, env):
-        if node.name != x:
-            return node
-        return first.pop() if first else freshen(s, supply)
-
-    return rewrite(t, var=var_fn)
+    state: no environment and no fv(s), and the same copies (``_copies``)."""
+    copy = _copies(s, supply, keep_first)
+    return rewrite(t, var=lambda node, env: copy() if node.name == x else node)
 
 
 def step_subst(terms: Iterable[Term], supply: Optional[NameSupply] = None):
     """For a one-shot step on the terms of a state, from one scan of each:
     supply, or one above every name in them, and ``subst_normal`` if each
-    is normalized, else ``subst``."""
+    is normalized, else ``subst``.  The steps read unlabeled terms only."""
     found = [scan(t) for t in terms]
+    if any(f.labeled for f in found):
+        raise LabeledTermError("a one-shot step reads unlabeled terms only")
     if supply is None:
         supply = NameSupply(max(f.top for f in found) + 1)
     return supply, (subst_normal if all(f.hygienic for f in found) else subst)
@@ -418,16 +421,7 @@ def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None)
     copies of a shared argument to stay structurally identical.  Capture is
     avoided by renaming binders of t only.
     """
-    if supply is None:
-        supply = NameSupply.for_terms((t, s))
-
-    def var_fn(node, env):
-        new = _chain_lookup(env, node.name)
-        if new is not None:
-            return node if new == node.name else Var(new)
-        return s if node.name == x else node
-
-    return rewrite(t, var=var_fn, lam=_capture_avoiding(x, free_vars(s), supply))
+    return _substitute(t, x, s, supply, lambda s, supply: lambda: s)
 
 
 class Scan(NamedTuple):
@@ -538,10 +532,6 @@ def normalize(t: Term, supply: Optional[NameSupply] = None) -> tuple[Term, NameS
         return t, supply, found
     taken = set(found.free)
 
-    def var_fn(node, env):
-        new = _chain_lookup(env, node.name)
-        return node if new is None or new == node.name else Var(new)
-
     def lam_fn(node, env):
         y = node.binder
         ny = supply.fresh(y.base) if y in taken else y
@@ -549,7 +539,7 @@ def normalize(t: Term, supply: Optional[NameSupply] = None) -> tuple[Term, NameS
         return ny, (y, ny, env)
 
     enter, leave = shared_labels() if found.labeled else (None, None)
-    return rewrite(t, enter, leave, var_fn, lam_fn), supply, found
+    return rewrite(t, enter, leave, _renaming(), lam_fn), supply, found
 
 
 def hygienize(t: Term, supply: Optional[NameSupply] = None) -> Term:

@@ -9,7 +9,6 @@ from needlab.ck import (
     LOOKUPVAR,
     PUSHARG,
     build,
-    buildF,
     build_step_term,
     eval_ck,
     inject_ck,
@@ -21,6 +20,7 @@ from needlab.frames import (
     BodF,
     LamF,
     balance,
+    context_term,
     is_answer_frames,
     is_eval_frames,
     is_inner_partial_frames,
@@ -169,9 +169,9 @@ def test_step_rules_golden():
 
 def test_buildF_clauses():
     e = parse(r"\y.y")
-    assert term_eq(buildF(()), parse("[]")) or print_term(buildF(())) == "[]"
-    assert print_term(buildF((LamF(Name("x")), ArgF(e)))) == r"(\x.[]) (\y.y)"
-    assert print_term(buildF((BodF(Name("x"), (), ()),))) == r"(\x.x) []"
+    assert term_eq(context_term(()), parse("[]")) or print_term(context_term(())) == "[]"
+    assert print_term(context_term((LamF(Name("x")), ArgF(e)))) == r"(\x.[]) (\y.y)"
+    assert print_term(context_term((BodF(Name("x"), (), ()),))) == r"(\x.x) []"
 
 
 def test_build():

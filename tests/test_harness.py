@@ -18,7 +18,7 @@ from needlab.harness import (
     SIM_PAIRS,
     SIM_TABLE,
     SimPair,
-    _render_ckh,
+    _CKHPrinter,
     answer_value,
     check_confluence,
     check_simulation,
@@ -120,8 +120,9 @@ def test_check_simulation_pairs():
 
 
 def test_ck_lstep_image_from_the_run_supply():
-    # the image's labels come from a fork of the run's supply; the image
-    # must be the one a supply seeded from the plugged state gives
+    # the image's labels come from the state's seed, a fork of the run's
+    # supply; the image must be the one a supply seeded from the plugged
+    # state gives, and the seed must end above every name it holds
     image = SIM_TABLE["ck-lstep"].images()
     states = 0
     for i in range(100):
@@ -130,9 +131,10 @@ def test_ck_lstep_image_from_the_run_supply():
         state = ck.inject_ck(hygienize(t, supply))
         for n, (rule, state) in enumerate(ck.drive(state, supply)):
             seeded = ck.build_step_term(state, NameSupply.for_term(ck.build(state)))
-            counter = supply.fork().fresh()
-            assert alpha_eq(image(state, supply), strip_value_labels(seeded)), i
-            assert supply.fork().fresh() == counter  # the run's counter stays put
+            seed = supply.fork()
+            m = image(state, seed)
+            assert alpha_eq(m, strip_value_labels(seeded)), i
+            assert seed.fork().fresh().index > scan(m).top, i
             states += 1
             if n == 300:
                 break
@@ -439,10 +441,10 @@ def test_run_eval_ckh_render_cache():
         assert tr.verdict == "done"
         supply = NameSupply.for_term(t)
         state = ckh.inject_ckh(hygienize(t, supply))
-        assert tr.initial == _render_ckh(state)
+        assert tr.initial == _CKHPrinter()(state)
         for s in tr.steps:
             rule, state = ckh.step_ckh(state, supply)
-            assert (s.rule, s.term) == (rule, _render_ckh(state))
+            assert (s.rule, s.term) == (rule, _CKHPrinter()(state))
             rules.add(rule)
         assert ckh.step_ckh(state, supply) is None
     assert {"descend-lam", "lookupvar", "updateheap"} <= rules
@@ -491,7 +493,7 @@ def _one_shot(machine, state):
         term = f"<{print_term(state.control)} | {print_term(context_term(state.frames))}>"
         return term, print_term(ck.build(state))
     if machine == "ckh":
-        return _render_ckh(state), print_term(ckh.buildL(state))
+        return _CKHPrinter()(state), print_term(ckh.buildL(state))
     return print_term(state), None
 
 
@@ -654,10 +656,10 @@ def _holds_label(t) -> bool:
 
 
 def test_check_simulation_walks_only_what_its_checks_read(monkeypatch, walks):
-    # start's scan is the one walk of the input; ckh-lstep and ck-need step
-    # their images from the transition's seed without walking them, and
-    # ck-lstep walks its image once per step; the input is printed only by
-    # to_json, and only an image that holds a label is stripped
+    # start's scan is the one walk of the input; every pair steps its
+    # images from the state's seed without walking them; the input is
+    # printed only by to_json, and only an image that holds a label is
+    # stripped
     calls = {"normalize": 0, "print_term": 0}
     stripped, stepping = [], [False]
     for attr, real in (("normalize", terms.normalize), ("print_term", print_term)):
@@ -686,8 +688,7 @@ def test_check_simulation_walks_only_what_its_checks_read(monkeypatch, walks):
                 return _row.one_step(m, supply)
             finally:
                 stepping[0] = False
-                if _pair != "ck-lstep":
-                    assert {**walks, **calls} == before, _pair
+                assert {**walks, **calls} == before, _pair
 
         monkeypatch.setitem(SIM_TABLE, pair, SimPair(row.source, row.step_rules, row.images, one_step))
         steps = strips = 0
@@ -698,8 +699,7 @@ def test_check_simulation_walks_only_what_its_checks_read(monkeypatch, walks):
             rep = check_simulation(t, pair, 1000)
             assert rep.ok
             n = sum(rep.rule_counts.get(r, 0) for r in row.step_rules)
-            walked = n if pair == "ck-lstep" else 0
-            assert (walks["scan"], walks["subterms"], walks["for_terms"]) == (1, 0, walked), pair
+            assert (walks["scan"], walks["subterms"], walks["for_terms"]) == (1, 0, 0), pair
             # ck-lstep's replay takes the free names of each argument it labels
             assert walks["free_vars"] == 0 or pair == "ck-lstep"
             assert calls == {"normalize": 1, "print_term": 0}, pair
@@ -713,14 +713,13 @@ def test_check_simulation_walks_only_what_its_checks_read(monkeypatch, walks):
 def _stale_seeds(monkeypatch, corpus) -> dict:
     """Per pair, over check_simulation runs on the corpus at fuel 1000:
     [its step transitions, those whose target step minted from a supply
-    that does not start above every name of the image it stepped].  A
-    step given no supply seeds its own above the names of its term."""
+    that does not start above every name of the image it stepped]."""
     counts = {}
     current = []  # the pair, and the image the step transition steps
 
     def seeded(supply):
         pair, m = current
-        if supply is not None and supply.fork().fresh().index <= scan(m).top:
+        if supply.fork().fresh().index <= scan(m).top:
             counts[pair][1] += 1
 
     step_lstep, contract = lstep.step_lstep, need.contract
@@ -757,12 +756,17 @@ def test_simulation_steps_mint_names_fresh_for_their_image(monkeypatch):
 
 
 def test_only_the_freshness_check_sees_a_stale_ck_lstep_seed(monkeypatch):
-    # stepped from the transition's seed, a ck-lstep image gets a label
-    # name it already holds, since its labels were minted from a fork at
-    # that counter; on these terms every report stays ok (on LEQ the clash
-    # is a violation), so the freshness check is what catches it
+    # an image function that mints its labels from a fork of the state's
+    # seed leaves the seed where it was, so the step of that image gets a
+    # label name the image already holds; on these terms every report stays
+    # ok (on LEQ the clash is a violation), so the freshness check is what
+    # catches it
     row = SIM_TABLE["ck-lstep"]
-    mutant = SimPair(row.source, row.step_rules, row.images, harness._lstep_one_step)
+
+    def images():
+        return lambda s, seed: ck.build_step_term(s, seed.fork(), strip=True)
+
+    mutant = SimPair(row.source, row.step_rules, images, row.one_step)
     monkeypatch.setitem(SIM_TABLE, "ck-lstep", mutant)
     corpus = [gen_closed(42 + i, 25) for i in range(100)]
     steps, stale = _stale_seeds(monkeypatch, corpus)["ck-lstep"]
@@ -907,7 +911,9 @@ def test_eval_rejects_labeled_input_unless_the_machine_reads_labels(machine):
 
 
 @pytest.mark.parametrize(
-    "step", [need.decompose, need.step_sr, af.step_af, af.step_afmod], ids=lambda f: f.__name__
+    "step",
+    [need.decompose, need.step_sr, af.step_af, af.step_afmod, af.step_name, need.compatible_reducts],
+    ids=lambda f: f.__name__,
 )
 def test_one_shot_steps_reject_labeled_input(step):
     # the one walk each makes of its input sees the label

@@ -5,8 +5,8 @@ import pytest
 from needlab import af, ck, ckh
 from needlab.frames import ArgF, BodF, LamF, plug
 from needlab.gen import gen_closed
-from needlab.harness import MACHINE_TABLE, MACHINES, _CKHPrinter, _render_ckh
-from needlab.syntax import ParseError, PrintMemo, StackPrinter, parse, print_plugged, print_term
+from needlab.harness import MACHINE_TABLE, MACHINES, _CKHPrinter
+from needlab.syntax import ParseError, PrintMemo, StackPrinter, parse, print_term
 from needlab.terms import HOLE, App, Labeled, Lam, Name, NameSupply, Var, hygienize, term_eq
 
 
@@ -191,13 +191,13 @@ def test_print_plugged_matches_plugged_term():
         t = rng.choice([HOLE, Var(Name("v")), _random_term(rng, 3)])
         kinds.add((type(frames[0]).__name__ if frames else None, type(t).__name__))
         full_bodies += any(isinstance(f, BodF) and f.inner and f.between for f in frames)
-        assert print_plugged(frames, t) == print_term(plug(frames, t))
+        assert StackPrinter()(frames[::-1], t) == print_term(plug(frames, t))
         # one memo, the same frames under outer frames that change their levels
         memo = PrintMemo()
         y = Name("y")
         for outer in ((), (ArgF(Var(y)),), (LamF(y),), (BodF(y, (), ()),), ()):
             expected = print_term(plug(frames + outer, t))
-            assert print_plugged(frames + outer, t, memo) == expected
+            assert StackPrinter(memo)((frames + outer)[::-1], t) == expected
             memo.next_state()
     # every frame kind around every kind of filler, hence every level
     fillers = {"_Hole", "Var", "Lam", "App", "Labeled"}
@@ -213,7 +213,7 @@ def test_print_plugged_takes_no_recursion_on_nested_demand_frames():
     for i in range(3000):
         f = BodF(x, (f, LamF(y)), ()) if i % 2 else BodF(y, (), (ArgF(Var(y)), f))
     frames = (f, ArgF(Var(x)))
-    assert print_plugged(frames, HOLE, PrintMemo()) == print_term(plug(frames, HOLE))
+    assert StackPrinter(PrintMemo())(frames[::-1], HOLE) == print_term(plug(frames, HOLE))
 
 
 def _cut_and_push(rng, stack, push):
@@ -245,6 +245,6 @@ def test_stack_printer_matches_plugged_term():
             t = rng.choice([HOLE, Var(Name("v")), _random_term(rng, 3)])
             assert printer(stack, t) == print_term(plug(tuple(reversed(stack)), t))
             state = ckh.CKHState(t, tuple(reversed(ckh_stack)), {})
-            assert ckh_printer(state) == _render_ckh(state)
+            assert ckh_printer(state) == _CKHPrinter()(state)
             memo.next_state()
     assert regrown > 1000
