@@ -44,7 +44,7 @@ from functools import partial
 from typing import Optional
 
 from .frames import ArgF, BodF, Frames, LamF, binder_at, build, inject, plug
-from .results import evaluate, require_closed_unlabeled
+from .results import evaluate, normalized
 from .terms import (
     App,
     Lam,
@@ -53,8 +53,6 @@ from .terms import (
     Term,
     Var,
     freshen,
-    normalize,
-    step_subst,
     subst_normal,
 )
 
@@ -191,8 +189,7 @@ def _resolve_value(v: Term, stack: list, where: dict, modified: bool, supply: Na
 
 
 def _step_from_root(t: Term, modified: bool, supply: Optional[NameSupply]):
-    t, supply, found = normalize(t, supply)
-    require_closed_unlabeled(found, "a standard step")
+    t, supply = normalized(t, "a standard step", supply)
     stack: list = []
     rule, new = _step(stack, {}, t, modified, supply)
     return None if rule is None else (rule, build((stack, new)))
@@ -239,12 +236,15 @@ def eval_afmod(t: Term, fuel: int):
     return evaluate(t, fuel, drive_afmod, build, inject)
 
 
-def step_name(t: Term, supply: Optional[NameSupply] = None, substitute=None) -> Optional[Term]:
-    """One call-by-name step: leftmost-outermost beta, absent on values.  t
-    need not be normalized: substitute and supply default to step_subst's,
-    whose scan rejects labeled input."""
-    if substitute is None:
-        supply, substitute = step_subst((t,), supply)
+def step_name(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
+    """One call-by-name step: leftmost-outermost beta, absent on values; t
+    is normalized first (``results.normalized``), and may be open."""
+    t, supply = normalized(t, "step_name", supply, closed=False)
+    return _beta_name(t, supply)
+
+
+def _beta_name(t: Term, supply: NameSupply) -> Optional[Term]:
+    """step_name on a normalized t."""
     spine: list[App] = []
     c = t
     while isinstance(c, App):
@@ -255,7 +255,7 @@ def step_name(t: Term, supply: Optional[NameSupply] = None, substitute=None) -> 
     if not spine:
         return None
     redex_app = spine.pop()
-    new = substitute(c.body, c.binder, redex_app.arg, supply)
+    new = subst_normal(c.body, c.binder, redex_app.arg, supply)
     for node in reversed(spine):
         new = App(new, node.arg)
     return new
@@ -265,7 +265,7 @@ def drive_name(t: Term, supply: NameSupply):
     """Call-by-name from a closed hygienic term: ("beta", term) per step,
     then (None, value)."""
     while not isinstance(t, Lam):
-        t = step_name(t, supply, subst_normal)
+        t = _beta_name(t, supply)
         yield "beta", t
     yield None, t
 

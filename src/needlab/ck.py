@@ -15,7 +15,6 @@ efficient evaluator (lookupvar re-validates context grammars each time).
 """
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain
 from typing import Optional
 
@@ -32,18 +31,15 @@ from .frames import (
     split_inner_partial,
     split_outer_partial,
 )
-from .results import evaluate, iterate
+from .results import evaluate, iterate, normalized
 from .terms import (
     App,
     Frozen,
     Labeled,
     Lam,
     NameSupply,
-    OpenTermError,
     Term,
     Var,
-    is_closed,
-    step_subst,
     strip_value_labels,
     subst_normal,
     subst_shared,
@@ -67,11 +63,9 @@ class IllFormedState(AssertionError):
 
 
 def inject_ck(t: Term) -> CKState:
-    """The initial state of a closed term.  Runs build CKState(t) directly:
-    results.start has already checked closedness."""
-    if not is_closed(t):
-        raise OpenTermError("inject_ck requires a closed term")
-    return CKState(t, ())
+    """The initial state of a closed unlabeled term, normalized first
+    (``results.normalized``); runs, which start normalized, skip it."""
+    return CKState(normalized(t, "inject_ck")[0], ())
 
 
 def is_final(s: CKState) -> bool:
@@ -83,8 +77,8 @@ def build(s: CKState) -> Term:
     return plug(s.frames, s.control)
 
 
-def subst_frames(frames: Frames, x, v: Term, supply: NameSupply, substitute) -> Frames:
-    """Map substitute across every term embedded in a frame list; every
+def subst_frames(frames: Frames, x, v: Term, supply: NameSupply) -> Frames:
+    """Map subst_normal across every term embedded in a frame list; every
     inserted copy is freshened (the original value lives in the control).
     Terms are substituted in frame order, a BodF's inner before its
     between; a work list of suspended frame lists stands in for recursion.
@@ -94,7 +88,7 @@ def subst_frames(frames: Frames, x, v: Term, supply: NameSupply, substitute) -> 
     while True:
         for f in it:
             if isinstance(f, ArgF):
-                out.append(ArgF(substitute(f.term, x, v, supply, keep_first=False)))
+                out.append(ArgF(subst_normal(f.term, x, v, supply, keep_first=False)))
             elif isinstance(f, LamF):
                 out.append(f)
             else:
@@ -110,9 +104,10 @@ def subst_frames(frames: Frames, x, v: Term, supply: NameSupply, substitute) -> 
             out = parent
 
 
-def step_ck(s: CKState, supply=None, substitute=None) -> Optional[tuple[str, CKState]]:
-    """One transition; absent iff the state is final.  The state need not be
-    normalized: substitute and supply default to step_subst's for it."""
+def step_ck(s: CKState, supply=None) -> Optional[tuple[str, CKState]]:
+    """One transition; absent iff the state is final.  The state is
+    normalized as a whole, as every state reached from inject_ck is; without
+    a supply, fresh names are minted above every name of it."""
     control, frames = s.control, s.frames
     if isinstance(control, App):
         return PUSHARG, CKState(control.fn, (ArgF(control.arg),) + frames)
@@ -132,10 +127,10 @@ def step_ck(s: CKState, supply=None, substitute=None) -> Optional[tuple[str, CKS
         if not is_answer_frames(arg_frames):
             raise IllFormedState("argument context is not an answer context")
         bod = frames[bod_at]
-        if substitute is None:
-            supply, substitute = step_subst((build(s),), supply)
+        if supply is None:
+            supply = NameSupply.for_term(build(s))
         new_frames = (
-            subst_frames(bod.inner, bod.binder, control, supply, substitute)
+            subst_frames(bod.inner, bod.binder, control, supply)
             + arg_frames
             + bod.between
             + frames[bod_at + 1 :]
@@ -204,7 +199,7 @@ def build_step_term(s: CKState, supply: Optional[NameSupply] = None, strip: bool
 
 
 def drive(s: CKState, supply: NameSupply):
-    return iterate(partial(step_ck, substitute=subst_normal), s, supply)
+    return iterate(step_ck, s, supply)
 
 
 def eval_ck(t: Term, fuel: int):

@@ -27,7 +27,7 @@ from functools import partial
 from typing import Optional
 
 from .frames import ArgF
-from .results import evaluate, iterate
+from .results import evaluate, iterate, normalized
 from .terms import (
     App,
     Frozen,
@@ -35,12 +35,9 @@ from .terms import (
     Lam,
     Name,
     NameSupply,
-    OpenTermError,
     Term,
     Var,
-    is_closed,
     rewrite,
-    step_subst,
     subst_normal,
 )
 
@@ -77,10 +74,9 @@ def initial_state(t: Term) -> CKHState:
 
 
 def inject_ckh(t: Term) -> CKHState:
-    """The initial state of a closed term."""
-    if not is_closed(t):
-        raise OpenTermError("inject_ckh requires a closed term")
-    return initial_state(t)
+    """The initial state of a closed unlabeled term, normalized first
+    (``results.normalized``)."""
+    return initial_state(normalized(t, "inject_ckh")[0])
 
 
 def is_final(s: CKHState) -> bool:
@@ -97,14 +93,13 @@ def _state_terms(s: CKHState):
         yield bound
 
 
-def step_ckh(
-    s: CKHState, supply=None, substitute=None, heap=None
-) -> Optional[tuple[str, CKHState]]:
+def step_ckh(s: CKHState, supply=None, heap=None) -> Optional[tuple[str, CKHState]]:
     """One store-machine transition; absent iff the state is final.  The
     next state names the heap variable the step bound, checked out or
-    rebound.  The state need not be normalized: substitute and supply
-    default to step_subst's for its terms.  The step changes heap in place
-    and the next state holds it; by default heap is a copy of s's."""
+    rebound.  Each of the state's terms is normalized, as in every state
+    from inject_ckh; without a supply, names are minted above them all.
+    The step changes heap in place and the next state holds it; by default
+    heap is a copy of s's."""
     control, frames = s.control, s.frames
     if heap is None:
         heap = dict(s.heap)
@@ -115,10 +110,10 @@ def step_ckh(
             return None
         top = frames[0]
         if isinstance(top, ArgF):
-            if substitute is None:
-                supply, substitute = step_subst(_state_terms(s), supply)
+            if supply is None:
+                supply = NameSupply.for_terms(_state_terms(s))
             fresh = supply.fresh(control.binder.base)
-            body = substitute(control.body, control.binder, Var(fresh), supply)
+            body = subst_normal(control.body, control.binder, Var(fresh), supply)
             heap[fresh] = top.term
             return DESCEND_LAM, CKHState(body, frames[1:], heap, fresh)
         heap[top.name] = control
@@ -320,7 +315,7 @@ def drive(s: CKHState, supply: NameSupply):
     """Store-machine steps from s on one copy of its heap, which every step
     changes in place and every state yielded holds: read a state before
     asking for the next one."""
-    return iterate(partial(step_ckh, substitute=subst_normal, heap=dict(s.heap)), s, supply)
+    return iterate(partial(step_ckh, heap=dict(s.heap)), s, supply)
 
 
 def eval_ckh(t: Term, fuel: int):

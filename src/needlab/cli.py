@@ -20,7 +20,7 @@ from .frames import context_term
 from .prelude import expand_prelude
 from .results import Done, LabeledTermError
 from .syntax import ParseError, parse, print_term
-from .terms import HOLE, OpenTermError, normalize, subterms
+from .terms import HOLE, OpenTermError, subterms
 
 
 class HoleError(ValueError):
@@ -76,7 +76,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    d = need.decompose(normalize(_load_term(args))[0])
+    d = need.decompose(_load_term(args))
     if isinstance(d, need.Answer):
         print("answer")
         print(f"  context: {print_term(d.context.to_term())}")

@@ -53,7 +53,6 @@ from .terms import (
     erase,
     strip_value_labels,
     subst,
-    subst_normal,
 )
 
 
@@ -315,7 +314,7 @@ def _need_one_step(m: Term, seed: NameSupply) -> Optional[Term]:
     """need-sr's step of a CK image, which the run keeps normalized as a
     whole: the search and the contraction, without normalize's walk."""
     d = need._search(m)
-    return None if isinstance(d, need.Answer) else need.contract(d, seed, subst_normal)
+    return None if isinstance(d, need.Answer) else need.contract(d, seed)
 
 
 SIM_TABLE = {

@@ -39,7 +39,7 @@ from .frames import (
     split_inner_partial,
     split_outer_partial,
 )
-from .results import LabeledTermError, evaluate, require_closed_unlabeled
+from .results import LabeledTermError, evaluate, normalized
 from .terms import (
     App,
     Frozen,
@@ -49,9 +49,6 @@ from .terms import (
     Term,
     Var,
     canon,
-    normalize,
-    scan,
-    step_subst,
     subst_normal,
 )
 
@@ -197,38 +194,36 @@ def _search(t: Term, stack: Optional[list] = None) -> Optional[NeedDecomposition
 
 
 def decompose(t: Term) -> NeedDecomposition:
-    """Unique decomposition of a closed unlabeled term: answer or
-    redex-in-context."""
-    require_closed_unlabeled(scan(t), "decompose")
-    return _search(t)
+    """Unique decomposition of a closed unlabeled term, normalized first
+    (``results.normalized``): answer or redex-in-context."""
+    return _search(normalized(t, "decompose")[0])
 
 
-def _contractum(r: Redex, supply: NameSupply, substitute) -> Term:
+def _contractum(r: Redex, supply: NameSupply) -> Term:
     """The axiom's right-hand side: substitute the value for the binder,
     drop the call, and hoist the argument's bindings."""
     body = plug(r.demand + r.inner_partial, Var(r.binder))
-    core = substitute(body, r.binder, r.value, supply)
+    core = subst_normal(body, r.binder, r.value, supply)
     return plug(r.arg_context + r.binding + r.outer_partial, core)
 
 
-def contract(r: Redex, supply: Optional[NameSupply] = None, substitute=None) -> Term:
-    """The whole reduct: the contractum plugged into the outer context.  The
-    term need not be normalized: substitute and supply default to
-    step_subst's for it."""
-    if substitute is None:
-        supply, substitute = step_subst((r.whole_term(),), supply)
-    return plug(r.outer, _contractum(r, supply, substitute))
+def contract(r: Redex, supply: Optional[NameSupply] = None) -> Term:
+    """The whole reduct: the contractum plugged into the outer context.  r
+    is a redex of a normalized term, as decompose gives, so the hoist
+    captures nothing; without a supply, names are minted above the term's."""
+    if supply is None:
+        supply = NameSupply.for_term(r.whole_term())
+    return plug(r.outer, _contractum(r, supply))
 
 
 def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     """One standard-reduction step; absent iff t is an answer.  Without a
     supply, fresh names are minted above every name of t."""
-    t, supply, found = normalize(t, supply)
-    require_closed_unlabeled(found, "step_sr")
-    d = _search(t)  # decompose would re-check closedness
+    t, supply = normalized(t, "step_sr", supply)
+    d = _search(t)  # decompose would normalize again
     if isinstance(d, Answer):
         return None
-    return contract(d, supply, subst_normal)
+    return contract(d, supply)
 
 
 def drive(state: tuple[list, Term], supply: NameSupply):
@@ -242,7 +237,7 @@ def drive(state: tuple[list, Term], supply: NameSupply):
     stack, t = state
     while not isinstance(d := _search(t, stack), Answer):
         del stack[len(d.outer) :]
-        t = _contractum(d, supply, subst_normal)
+        t = _contractum(d, supply)
         yield "beta-need", (stack, t)
     yield None, (stack, d.value)
 
@@ -350,19 +345,20 @@ def compatible_reducts(t: Term, supply: Optional[NameSupply] = None) -> list[Ter
     """All one-step contractions at any subterm position, deduped by alpha.
 
     Only applications are tried: at an abstraction the search finds an
-    answer and at a variable it fails, so neither is a redex.  t need not
-    be normalized: step_subst scans it at its first redex.  Labeled input
-    is rejected."""
+    answer and at a variable it fails, so neither is a redex.  t is
+    normalized at its first redex, and the search restarts on the renamed
+    term if that renamed anything.  Labeled input is rejected."""
     seen = set()
     out = []
-    substitute = None
     for path, sub in _positions(t):
         r = redex_at_root(sub)
         if r is None:
             continue
-        if substitute is None:
-            supply, substitute = step_subst((t,), supply)
-        reduct = _replace_at(t, path, contract(r, supply, substitute))
+        if not seen:  # the first redex
+            renamed, supply = normalized(t, "compatible_reducts", supply, closed=False)
+            if renamed is not t:
+                return compatible_reducts(renamed, supply)
+        reduct = _replace_at(t, path, contract(r, supply))
         key = canon(reduct)
         if key not in seen:
             seen.add(key)

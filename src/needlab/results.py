@@ -25,13 +25,16 @@ class NotConsistentlyLabeled(LabeledTermError):
     """Two occurrences of one label hold different bodies."""
 
 
-def require_closed_unlabeled(found, what: str) -> None:
-    """Reject, from the Scan of a one-shot step's input, an open or a
-    labeled term; what names the step."""
-    if found.free:
+def normalized(t: Term, what: str, supply=None, closed: bool = True):
+    """A one-shot step's input normalized (``normalize``), and the supply
+    that renamed it, above every name of t unless one is given; rejects a
+    labeled t and, if closed, an open one.  what names the step."""
+    t, supply, found = normalize(t, supply)
+    if closed and found.free:
         raise OpenTermError(f"{what} requires a closed term")
     if found.labeled:
         raise LabeledTermError(f"{what} reads unlabeled terms only")
+    return t, supply
 
 
 class Done(Frozen):

@@ -13,13 +13,15 @@ operations here are iterative: evaluation traces can produce terms whose
 application spines are thousands of nodes deep, well past the default
 recursion limit.
 
-Every machine run starts from a closed term whose binders are pairwise
-distinct and disjoint from its free variables (a normalized term, in
-Launchbury's sense), and its steps keep it so: they substitute with
-``subst_normal``, which needs no environment.  ``subst`` avoids capture
-for any input, and ``step_subst`` picks one of the two for a one-shot step
-by a ``scan``, the one walk that reads the free variables, the highest
-name index, hygiene and labels; ``normalize`` renames only what it must.
+Every machine step reads a normalized term, one whose binders are pairwise
+distinct and disjoint from its free variables (Launchbury's sense): a run
+normalizes its input once and its steps keep it so, and a one-shot step
+normalizes what it is given.  Steps therefore substitute with
+``subst_normal``, which needs no environment, and the call-by-need axiom
+can hoist an argument's bindings without capture.  ``subst`` avoids
+capture for any input.  ``normalize`` renames only what it must, after a
+``scan``, the one walk that reads the free variables, the highest name
+index, hygiene and labels.
 
 ``rewrite`` is the one bottom-up rebuild of a term: freshening,
 substitution, hygiene renaming, relabeling and label erasure are each a set
@@ -142,10 +144,12 @@ class NameSupply:
 
     @classmethod
     def for_terms(cls, terms: Iterable[Term]) -> "NameSupply":
-        """A supply above every variable, binder and label name in the terms."""
+        """A supply above every variable, binder and label name in the terms.
+        A Labeled node met again, the same object, is not walked again."""
         hi = 0
         work = list(terms)
         push, pop = work.append, work.pop
+        seen: set = set()
         while work:
             node = pop()
             kind = node.__class__
@@ -158,10 +162,11 @@ class NameSupply:
             elif kind is Lam:
                 index = node.binder.index
                 push(node.body)
-            elif kind is Labeled:
+            elif kind is Labeled and node not in seen:
+                seen.add(node)
                 index = node.label.index
                 push(node.body)
-            else:  # the hole of a rendered context
+            else:  # the hole of a rendered context, or a Labeled node walked
                 continue
             if index > hi:
                 hi = index
@@ -400,18 +405,6 @@ def subst_normal(t: Term, x: Name, s: Term, supply: NameSupply, keep_first: bool
     state: no environment and no fv(s), and the same copies (``_copies``)."""
     copy = _copies(s, supply, keep_first)
     return rewrite(t, var=lambda node, env: copy() if node.name == x else node)
-
-
-def step_subst(terms: Iterable[Term], supply: Optional[NameSupply] = None):
-    """For a one-shot step on the terms of a state, from one scan of each:
-    supply, or one above every name in them, and ``subst_normal`` if each
-    is normalized, else ``subst``.  The steps read unlabeled terms only."""
-    found = [scan(t) for t in terms]
-    if any(f.labeled for f in found):
-        raise LabeledTermError("a one-shot step reads unlabeled terms only")
-    if supply is None:
-        supply = NameSupply(max(f.top for f in found) + 1)
-    return supply, (subst_normal if all(f.hygienic for f in found) else subst)
 
 
 def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Term:

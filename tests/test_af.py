@@ -20,7 +20,7 @@ from needlab.gen import gen_closed
 from needlab.harness import close_answer_value, run_eval
 from needlab.need import eval_sr
 from needlab.results import Done, Timeout, start
-from needlab.syntax import parse
+from needlab.syntax import parse, print_term
 from needlab.terms import App, NameSupply, alpha_eq, hygienize, is_closed, term_eq
 
 # three distinct identity lambdas stand in for opaque values
@@ -145,11 +145,12 @@ def test_step_name_substitutes_unevaluated():
 
 
 def test_step_name_on_a_term_that_is_not_normalized():
-    # the inner \x rebinds x, and a free y of the argument meets a \y
-    for supply in (None, NameSupply(5)):
-        assert term_eq(step_name(parse(r"(\x.\x.x) (\y.y)"), supply), parse(r"\x.x"))
+    # the inner \x rebinds x, and a free y of the argument meets a \y: both
+    # binders are renamed before the substitution
+    for supply, j, k in ((None, 1, 1), (NameSupply(5), 5, 6)):
+        assert print_term(step_name(parse(r"(\x.\x.x) (\y.y)"), supply)) == rf"\x%{j}.x%{j}"
         n = step_name(parse(r"(\x.\y.x) (\z.y)"), supply)
-        assert alpha_eq(n, parse(r"\w.\z.y"))
+        assert print_term(n) == rf"\y%{k}.\z.y" and alpha_eq(n, parse(r"\w.\z.y"))
 
 
 def test_afmod_assoc_keeps_multi_layer_answer_in_order():

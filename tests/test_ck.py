@@ -292,8 +292,9 @@ def test_lookupvar_matches_decompose():
 
 
 def test_step_ck_on_a_state_that_is_not_normalized():
-    # the inner \x.x rebinds x, so the beta-need-ck step that substitutes
-    # \y.y for the outer x must leave the argument frame's body alone
+    # the inner \x.x rebinds x: inject_ck renames it, so the beta-need-ck
+    # step that substitutes \y.y for the outer x leaves the argument
+    # frame's body alone
     s = inject_ck(parse(r"(\x.x (\x.x)) (\y.y)"))
     for supply in (None, NameSupply(5)):
         state, rules = s, []
@@ -301,7 +302,7 @@ def test_step_ck_on_a_state_that_is_not_normalized():
             rule, state = r
             rules.append(rule)
             if rule == "beta-need-ck":
-                assert term_eq(build(state), parse(r"(\y.y) (\x.x)"))
+                assert print_term(build(state)) == r"(\y.y) (\x%1.x%1)"
                 break
         assert rules[-1] == "beta-need-ck"
 
@@ -342,7 +343,8 @@ def _logging_substitute(log):
     return substitute
 
 
-def test_frame_walks_take_no_recursion_on_nested_demand_frames():
+def test_frame_walks_take_no_recursion_on_nested_demand_frames(monkeypatch):
+    from needlab import ck
     from needlab.ck import subst_frames
     from needlab.frames import plug
 
@@ -353,7 +355,8 @@ def test_frame_walks_take_no_recursion_on_nested_demand_frames():
         assert split_inner_partial(frames) == (frames, (), 0)
         assert is_eval_frames(frames) and not is_eval_frames(frames + (LamF(Name("y")),))
         calls = []
-        got = subst_frames(frames, z, v, None, _logging_substitute(calls))
+        monkeypatch.setattr(ck, "subst_normal", _logging_substitute(calls))
+        got = subst_frames(frames, z, v, None)
         assert len(set(calls)) == 2 * depth and is_eval_frames(got)
         if depth < 10:  # the recursive reference needs the interpreter's stack
             ref_calls = []

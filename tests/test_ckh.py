@@ -255,12 +255,16 @@ def test_step_without_supply_mints_a_name_unbound_in_the_heap():
 
 
 def test_descend_lam_on_a_control_that_is_not_normalized():
-    # the inner \x rebinds x: only the outer x becomes the heap name
-    s = CKHState(parse(r"\x.(\x.x) x"), (ArgF(parse(r"\q.q")),), {})
-    for supply in (None, NameSupply(1)):
+    # the inner \x rebinds x: inject_ckh renames it, and only the outer x
+    # becomes the heap name
+    rule, s = step_ckh(inject_ckh(parse(r"(\x.(\x.x) x) (\q.q)")))
+    assert rule == PUSHARG
+    for supply, k in ((None, 2), (NameSupply(5), 5)):
         rule, s2 = step_ckh(s, supply)
-        assert rule == DESCEND_LAM and s2.changed == Name("x", 1)
-        assert print_term(s2.control) == r"(\x.x) x%1"
+        inner = s2.control.fn
+        assert rule == DESCEND_LAM and s2.changed == Name("x", k)
+        assert inner.body.name == inner.binder != s2.changed == s2.control.arg.name
+        assert print_term(s2.control) == rf"(\x%1.x%1) x%{k}"
 
 
 def test_steps_report_the_heap_name_they_change():

@@ -728,9 +728,9 @@ def _stale_seeds(monkeypatch, corpus) -> dict:
         seeded(supply)
         return step_lstep(t, supply, check)
 
-    def contract_seeded(r, supply=None, substitute=None):
+    def contract_seeded(r, supply=None):
         seeded(supply)
-        return contract(r, supply, substitute)
+        return contract(r, supply)
 
     monkeypatch.setattr(lstep, "step_lstep", lstep_seeded)
     monkeypatch.setattr(need, "contract", contract_seeded)
@@ -912,7 +912,16 @@ def test_eval_rejects_labeled_input_unless_the_machine_reads_labels(machine):
 
 @pytest.mark.parametrize(
     "step",
-    [need.decompose, need.step_sr, af.step_af, af.step_afmod, af.step_name, need.compatible_reducts],
+    [
+        need.decompose,
+        need.step_sr,
+        af.step_af,
+        af.step_afmod,
+        af.step_name,
+        need.compatible_reducts,
+        ck.inject_ck,
+        ckh.inject_ckh,
+    ],
     ids=lambda f: f.__name__,
 )
 def test_one_shot_steps_reject_labeled_input(step):

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import needlab
@@ -53,3 +55,24 @@ def test_no_unused_imports_in_the_package():
         used = _used(tree)
         unused += [f"{path.name}:{line} {name}" for line, name in _imported(tree) if name not in used]
     assert not unused, unused
+
+
+def test_readme_names_resolve_on_the_package():
+    # every backticked module.name in README.md, `needlab.terms` or
+    # `ckh.ImageCache.labeled`, names a module of the package or an
+    # attribute path on one
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    modules = {path.stem for path in SRC.glob("*.py")}
+    checked, missing = [], []
+    for text in re.findall(r"`(\w+(?:\.\w+)+)`", readme):
+        module, *attrs = text.removeprefix("needlab.").split(".")
+        if module not in modules and not text.startswith("needlab."):
+            continue  # not a name in the package
+        checked.append(text)
+        try:
+            target = importlib.import_module(f"needlab.{module}")
+            for attr in attrs:
+                target = getattr(target, attr)
+        except (ImportError, AttributeError):
+            missing.append(text)
+    assert checked and not missing, missing

@@ -1,10 +1,10 @@
 import pytest
 from test_harness import LEQ
 
-from needlab import need
+from needlab import ck, need
 from needlab.frames import ArgF, LamF, context_term, is_answer_frames
 from needlab.gen import enumerate_closed, gen_closed
-from needlab.harness import run_eval
+from needlab.harness import close_answer_value, run_eval
 from needlab.need import (
     Answer,
     AnswerContext,
@@ -350,13 +350,32 @@ def test_standard_reduction_plugs_only_the_contraction_site(monkeypatch):
 
 
 def test_contract_on_a_term_that_is_not_normalized():
-    # the inner \x rebinds x: substituting the outer x must stop there
+    # the inner \x rebinds x: decompose and compatible_reducts rename it, so
+    # substituting the outer x leaves it and its occurrences alone
     t = parse(r"(\x.(\x.x x) x) (\y.y)")
-    want = parse(r"(\x.x x) (\y.y)")
-    assert term_eq(contract(decompose(t)), want)
-    assert term_eq(contract(decompose(t), NameSupply(7)), want)
-    assert [print_term(r) for r in compatible_reducts(t)] == [print_term(want)]
-    assert [print_term(r) for r in compatible_reducts(t, NameSupply(7))] == [print_term(want)]
+    want = r"(\x%1.x%1 x%1) (\y.y)"
+    assert print_term(contract(decompose(t))) == want
+    assert print_term(contract(decompose(t), NameSupply(7))) == want
+    assert [print_term(r) for r in compatible_reducts(t)] == [want]
+    assert [print_term(r) for r in compatible_reducts(t, NameSupply(7))] == [
+        r"(\x%7.x%7 x%7) (\y.y)"
+    ]
+
+
+def test_one_shot_paths_hoist_the_argument_without_capture():
+    # the redex hoists the argument's binding \y above the call's body, which
+    # references the outer y: every one-shot path must rename the inner \y
+    t = parse(r"(\y.(\x.x y) ((\y.\z.z) (\w.w))) (\q.\r.q)")
+    reduct = step_sr(t)
+    assert print_term(reduct) == r"(\y.(\y%1.(\z.z) y) (\w.w)) (\q.\r.q)"
+    assert canon(contract(decompose(t))) == canon(reduct)
+    assert [canon(r) for r in compatible_reducts(t)] == [canon(reduct)]
+    value = close_answer_value(eval_sr(t, 100).answer)
+    assert print_term(value) == r"\q.\r.q"
+    state = ck.inject_ck(t)
+    while (r := ck.step_ck(state)) is not None:
+        state = r[1]
+    assert alpha_eq(close_answer_value(ck.build(state)), value)
 
 
 def test_search_builds_contexts_in_the_grammars(monkeypatch):

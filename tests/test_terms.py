@@ -1,14 +1,17 @@
 import copy
 import pickle
+import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needlab import ck, ckh
+from needlab import ck, ckh, lstep
 from needlab.frames import ArgF, BodF, LamF, context_term
 from needlab.gen import enumerate_closed, gen_closed
 from needlab.lstep import is_labeled_value, step_lstep, substlab
+from needlab.results import start
 from needlab.syntax import parse, print_term
 from needlab.terms import (
     HOLE,
@@ -29,10 +32,8 @@ from needlab.terms import (
     normalize,
     rewrite,
     scan,
-    step_subst,
     strip_value_labels,
     subst,
-    subst_normal,
     subst_shared,
     subterms,
     term_eq,
@@ -105,15 +106,6 @@ def test_record_fields_and_defaults():
     s = ckh.initial_state(HOLE)
     assert s.frames == () and s.heap == {} and s.heap is not ckh.initial_state(HOLE).heap
     assert repr(pickle.loads(pickle.dumps(s))) == repr(s)
-
-
-def test_step_subst_picks_the_substitution_by_hygiene():
-    supply, substitute = step_subst((parse(r"\x.x"), Var(Name("y", 4))))
-    assert substitute is subst_normal and supply.fresh() == Name("x", 5)
-    given = NameSupply(9)
-    for shadowed in (r"\x.\x.x", r"x (\x.x)"):  # a repeated binder; a binder free too
-        supply, substitute = step_subst((parse(r"\y.y"), parse(shadowed)), given)
-        assert substitute is subst and supply is given
 
 
 def test_fresh_names_are_names():
@@ -370,6 +362,19 @@ def test_name_supply_sees_every_name_kind():
         assert NameSupply.for_term(t).fresh().index == expected
     assert NameSupply.for_terms(t for t, _ in cases[:2]).fresh().index == 6
     assert NameSupply.for_terms(()).fresh().index == 1
+
+
+def test_name_supply_walks_a_shared_labeled_node_once():
+    # at step 30 of this lstep run, label bodies shared by identity unfold
+    # to a term too large to walk copy by copy; is_cl takes under a ms
+    state, supply = start(hygienize(gen_closed(999684, 14)), 30, labels=True)
+    for _, state in islice(lstep.drive(state, supply), 30):
+        pass
+    began = time.perf_counter()
+    seed = NameSupply.for_term(state)
+    assert step_lstep(state) is not None
+    assert time.perf_counter() - began < 2.0
+    assert seed.fresh() == supply.fork().fresh()
 
 
 def test_name_supply_fork():
