@@ -167,8 +167,11 @@ def step_ck(s: CKState, supply=None) -> Optional[tuple[str, CKState]]:
 
 def build_step_term(s: CKState, supply: Optional[NameSupply] = None, strip: bool = False) -> Term:
     """Replay the frames as eager labeled substitutions, yielding the
-    labeled-semantics image of the state.  Fresh labels come from the
-    supply; images are compared modulo label renaming.  With strip, label
+    labeled-semantics image of the state.  Each argument goes in under a
+    fresh label from the supply, one shared copy per binder frame
+    (``terms.subst_shared``); the state is normalized as a whole, so no
+    binder of the replayed term is free in an argument, and nothing is
+    renamed.  Images are compared modulo label renaming.  With strip, label
     stacks on values are dropped (``strip_value_labels``), walking only an
     image that a replay put a label in: one whose binder frames bind no
     occurrence has none."""
@@ -192,8 +195,8 @@ def build_step_term(s: CKState, supply: Optional[NameSupply] = None, strip: bool
             assert is_answer_frames(fs[i:arg_at]), "context before the argument not an answer"
             label = supply.fresh(f.binder.base)
             argument = fs.pop(arg_at).term
-            new = subst_shared(e, f.binder, Labeled(label, argument), supply)
-            labeled = labeled or new is not e  # e itself: nothing substituted or renamed
+            new = subst_shared(e, f.binder, Labeled(label, argument))
+            labeled = labeled or new is not e  # e itself: nothing substituted
             e = new
     return strip_value_labels(e) if strip and labeled else e
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit status is 0 only when the requested check reports no mismatches or
-violations; parse errors, open terms, a FILE that cannot be read and bad
+violations, and for diff only when it compared the values of at least one
+term (a corpus where every term times out or is inconclusive exits 1);
+parse errors, open terms, a FILE that cannot be read and bad
 usage (including a negative fuel or depth, a check-sim fuel or a count
 below 1, or a size below 2, under which an audit would check no term)
 exit 2 with a message and no traceback, and so do a

@@ -400,7 +400,9 @@ class DiffReport(Frozen):
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        """No mismatch, and at least one term's values compared: a run
+        where every term timed out or was inconclusive checked nothing."""
+        return not self.mismatches and any(e.value is not None for e in self.entries)
 
     def to_json(self) -> dict:
         return {

@@ -9,9 +9,11 @@ label substitution, which is what keeps the labeling consistent: any two
 subterms with the same label must be structurally identical.
 
 Labels never block the redex search; a search that passes a label just
-records it.  Copies of a shared argument must remain identical, so the
-substitution used here never freshens inserted copies (contrast the
-hygiene-restoring substitution of the pure calculi).
+records it.  Copies of a shared argument must remain one term, so a step
+inserts it with ``terms.subst_shared``, which never freshens a copy
+(contrast the hygiene-restoring substitution of the pure calculi).  The
+search never enters a binder, so the argument is closed and no binder of
+the body can capture it: ``subst_shared``'s precondition.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .terms import (
     is_cl,
     rewrite,
     shared_labels,
+    subst_shared,
 )
 
 
@@ -74,35 +77,9 @@ def _plug(stack: list, t: Term) -> Term:
     return t
 
 
-def _subst_closed(t: Term, x: Name, s: Term) -> Term:
-    """Insert the same closed s at every free occurrence of x in t.
-
-    With s closed no binder of t can capture, so nothing is renamed and no
-    free-variable walk of s is needed; only binders of x shadow.  A copy's
-    rewrite depends only on whether it sits under a binder of x, so each
-    label's body is rewritten once per side (``shared_labels`` keyed on the
-    label and the shadowing), and every copy on that side shares the node.
-    """
-
-    def var_fn(node, shadowed):
-        return s if shadowed is None and node.name == x else node
-
-    def lam_fn(node, shadowed):
-        return node.binder, (True if node.binder == x else shadowed)
-
-    def key(node, shadowed):
-        return node.label, shadowed
-
-    return rewrite(t, *shared_labels(key), var_fn, lam_fn)
-
-
 def step_lstep(t: Term, supply: Optional[NameSupply] = None, check: bool = True) -> Optional[Term]:
     """One parallel step of a closed term; absent iff t is a (possibly
-    labeled) value.
-
-    The search never enters a binder, so the argument it substitutes is
-    closed whenever t is.
-    """
+    labeled) value."""
     if check and not is_cl(t):
         raise NotConsistentlyLabeled("input is not consistently labeled")
     if supply is None:
@@ -129,7 +106,7 @@ def step_lstep(t: Term, supply: Optional[NameSupply] = None, check: bool = True)
     assert isinstance(app, _AppL), "operator labels exhausted without an application"
     argument = app.term
     fresh = supply.fresh(control.binder.base)
-    contractum = _subst_closed(control.body, control.binder, Labeled(fresh, argument))
+    contractum = subst_shared(control.body, control.binder, Labeled(fresh, argument))
     # nearest enclosing label, with only applications between it and the redex
     label_at = None
     for i in range(len(stack) - 1, -1, -1):

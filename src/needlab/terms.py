@@ -19,9 +19,11 @@ normalizes its input once and its steps keep it so, and a one-shot step
 normalizes what it is given.  Steps therefore substitute with
 ``subst_normal``, which needs no environment, and the call-by-need axiom
 can hoist an argument's bindings without capture.  ``subst`` avoids
-capture for any input.  ``normalize`` renames only what it must, after a
-``scan``, the one walk that reads the free variables, the highest name
-index, hygiene and labels.
+capture for any input.  The labeled semantics inserts one shared copy at
+every occurrence with ``subst_shared``, which renames nothing: no binder
+of its target may be free in what it inserts.  ``normalize`` renames
+only what it must, after a ``scan``, the one walk that reads the free
+variables, the highest name index, hygiene and labels.
 
 ``rewrite`` is the one bottom-up rebuild of a term: freshening,
 substitution, hygiene renaming, relabeling and label erasure are each a set
@@ -29,7 +31,6 @@ of hooks to it.
 """
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
@@ -366,10 +367,14 @@ def _copies(s: Term, supply: NameSupply, keep_first: bool = True):
     return lambda: first.pop() if first else freshen(s, supply)
 
 
-def _substitute(t: Term, x: Name, s: Term, supply: Optional[NameSupply], copies) -> Term:
-    """The capture-avoiding rewrite of subst and subst_shared: with insert
-    = copies(s, supply), each free occurrence of x in t becomes insert(),
-    binders of x shadow, and binders free in s are renamed."""
+def subst(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Term:
+    """Capture-avoiding substitution of s for free occurrences of x in t.
+
+    The first (leftmost) inserted copy of s keeps its names; every further
+    copy has its binders freshened (``_copies``) so the result stays
+    hygienic when the inputs were.  Binders of x shadow, and binders of t
+    that would capture a free variable of s are renamed.
+    """
     if supply is None:
         supply = NameSupply.for_terms((t, s))
     fvs = free_vars(s)
@@ -379,25 +384,7 @@ def _substitute(t: Term, x: Name, s: Term, supply: Optional[NameSupply], copies)
         ny = supply.fresh(y.base) if y != x and y in fvs else y
         return ny, (y, ny, env)
 
-    return rewrite(t, var=_renaming(x, copies(s, supply)), lam=lam_fn)
-
-
-def subst(
-    t: Term,
-    x: Name,
-    s: Term,
-    supply: Optional[NameSupply] = None,
-    keep_first: bool = True,
-) -> Term:
-    """Capture-avoiding substitution of s for free occurrences of x in t.
-
-    The first (leftmost) inserted copy of s keeps its names; every further
-    copy has its binders freshened so the result stays hygienic when the
-    inputs were.  Pass keep_first=False when the original s survives
-    elsewhere and every inserted copy must be fresh.  Binders of t that
-    would capture a free variable of s are renamed.
-    """
-    return _substitute(t, x, s, supply, partial(_copies, keep_first=keep_first))
+    return rewrite(t, var=_renaming(x, _copies(s, supply)), lam=lam_fn)
 
 
 def subst_normal(t: Term, x: Name, s: Term, supply: NameSupply, keep_first: bool = True) -> Term:
@@ -407,14 +394,29 @@ def subst_normal(t: Term, x: Name, s: Term, supply: NameSupply, keep_first: bool
     return rewrite(t, var=lambda node, env: copy() if node.name == x else node)
 
 
-def subst_shared(t: Term, x: Name, s: Term, supply: Optional[NameSupply] = None) -> Term:
-    """Substitution that inserts the *same* copy of s at every occurrence.
+def subst_shared(t: Term, x: Name, s: Term) -> Term:
+    """Insert the same s at every free occurrence of x in t.
 
-    Used by the labeled semantics, where consistent labeling requires all
-    copies of a shared argument to stay structurally identical.  Capture is
-    avoided by renaming binders of t only.
+    The labeled semantics needs this: consistent labeling requires every
+    copy of a shared argument to be one term.  Precondition: no binder of t
+    other than x is free in s, as when s is closed (lstep's arguments) or
+    t and s sit in one normalized term (ck's images).  So nothing is
+    renamed and no name is minted; only binders of x shadow.  A copy's
+    rewrite depends only on whether it sits under a binder of x, so each
+    label's body is rewritten once per side (``shared_labels`` keyed on the
+    label and the shadowing), and every copy on that side shares the node.
     """
-    return _substitute(t, x, s, supply, lambda s, supply: lambda: s)
+
+    def var_fn(node, shadowed):
+        return s if shadowed is None and node.name == x else node
+
+    def lam_fn(node, shadowed):
+        return node.binder, (True if node.binder == x else shadowed)
+
+    def key(node, shadowed):
+        return node.label, shadowed
+
+    return rewrite(t, *shared_labels(key), var_fn, lam_fn)
 
 
 class Scan(NamedTuple):

@@ -196,6 +196,46 @@ def test_build_step_term_clauses():
     assert alpha_eq(img.body, e)
 
 
+def _binders(t):
+    """The binder names of t, each distinct node walked once."""
+    seen, out, work = set(), set(), [t]
+    while work:
+        node = work.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, App):
+            work += (node.fn, node.arg)
+        elif isinstance(node, Lam):
+            out.add(node.binder)
+            work.append(node.body)
+        elif isinstance(node, Labeled):
+            work.append(node.body)
+    return out
+
+
+def test_build_step_term_meets_the_shared_substitution_precondition(monkeypatch):
+    # subst_shared renames nothing: no binder of its target other than x
+    # may be free in what it inserts, which a ck state normalized as a
+    # whole guarantees
+    from needlab import ck
+    from needlab.harness import check_simulation
+    from needlab.terms import free_vars, subst_shared
+
+    calls = []
+
+    def spy(t, x, s):
+        calls.append(x)
+        captured = (_binders(t) - {x}) & free_vars(s)
+        assert not captured, (print_term(t), x, print_term(s))
+        return subst_shared(t, x, s)
+
+    monkeypatch.setattr(ck, "subst_shared", spy)
+    for i in range(200):
+        assert check_simulation(gen_closed(42 + i, 25), "ck-lstep", 1000).ok, i
+    assert len(calls) > 1000
+
+
 def test_eval_ck():
     r = eval_ck(parse(r"(\x.x) (\y.y)"), 100)
     assert isinstance(r, Done) and r.steps == 4

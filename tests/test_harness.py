@@ -170,6 +170,15 @@ def test_run_diff_byte_identical_reports():
     assert a == b
 
 
+def test_run_diff_that_compares_no_value_is_not_ok(capsys):
+    # with no fuel every machine times out, so no term's values are compared
+    rep = run_diff(seed=45, count=1, max_size=25, fuel=0)
+    assert not rep.mismatches and [e.value for e in rep.entries] == [None]
+    assert not rep.ok and rep.to_json()["ok"] is False
+    assert cli_main(["diff", "--seed", "45", "--count", "1", "--fuel", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
 def test_check_unique_decomposition_small():
     rep = check_unique_decomposition(6)
     assert rep.ok

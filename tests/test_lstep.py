@@ -295,8 +295,8 @@ def substlab_unshared(t, z, s):
     return rewrite(t, enter)
 
 
-def subst_closed_unshared(t, x, s):
-    """lstep._subst_closed with every copy of a label rewritten apart."""
+def subst_shared_unshared(t, x, s):
+    """terms.subst_shared with every copy of a label rewritten apart."""
 
     def var_fn(node, shadowed):
         return s if shadowed is None and node.name == x else node
@@ -319,7 +319,7 @@ def test_step_keeps_one_body_object_per_label(monkeypatch):
     assert len(shared) == 61
     # the same states as the rewrites that unshare
     monkeypatch.setattr(lstep, "substlab", substlab_unshared)
-    monkeypatch.setattr(lstep, "_subst_closed", subst_closed_unshared)
+    monkeypatch.setattr(lstep, "subst_shared", subst_shared_unshared)
     unshared = list(lstep_states(t, 15))
     assert len(unshared) == 16 and dag_size(unshared[-1]) > 1000
     for i, (a, b) in enumerate(zip(shared, unshared)):
@@ -349,21 +349,21 @@ def test_step_keeps_one_node_per_label_where_the_binder_reappears(monkeypatch):
     # comes back inside its own body through the copies of 2 that the body
     # holds.  Unfolded, the state reaches 812,832 nodes by step 60
     t = parse(r"(\m.m m m m) (\f.\x.f (f x)) (\y.y) (\z.z)")
-    substituted = lstep._subst_closed
+    substituted = lstep.subst_shared
     rebinds = []
 
     def spy(body, x, s):
         rebinds.append(any(isinstance(n, Lam) and n.binder == x for n in subterms(body)))
         return substituted(body, x, s)
 
-    monkeypatch.setattr(lstep, "_subst_closed", spy)
+    monkeypatch.setattr(lstep, "subst_shared", spy)
     shared = list(lstep_states(t, 120))
     assert len(shared) == 121 and sum(rebinds) > 40
     for i, u in enumerate(shared):
         assert dag_size(u) <= 200, i
         assert all(len(nodes) == 1 for nodes in label_nodes(u).values()), i
     monkeypatch.setattr(lstep, "substlab", substlab_unshared)
-    monkeypatch.setattr(lstep, "_subst_closed", subst_closed_unshared)
+    monkeypatch.setattr(lstep, "subst_shared", subst_shared_unshared)
     unshared = list(lstep_states(t, 30))
     assert sum(rebinds[:30]) > 10
     for i, (a, b) in enumerate(zip(shared, unshared)):

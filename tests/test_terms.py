@@ -166,6 +166,23 @@ def test_subst_shared_copies_identical():
     assert term_eq(out.fn, out.arg)
 
 
+def test_subst_shared_binder_of_x_shadows():
+    t, s = parse(r"(\x.x) x"), parse(r"\a.a")
+    out = subst_shared(t, Name("x"), s)
+    assert out.fn is t.fn and out.arg is s
+
+
+def test_subst_shared_rewrites_a_label_once_per_side():
+    # the two free copies of l share one rewritten node; the copy under \x
+    # rebinds x and comes back as it was
+    t, s = parse(r"l:(x y) l:(x y) (\x.l:(x y))"), parse(r"\a.a")
+    assert t.fn.fn is not t.fn.arg
+    out = subst_shared(t, Name("x"), s)
+    assert out.fn.fn is out.fn.arg and out.fn.fn.body.fn is s
+    assert out.arg is t.arg
+    assert term_eq(out, parse(r"l:((\a.a) y) l:((\a.a) y) (\x.l:(x y))"))
+
+
 def test_alpha_eq():
     assert alpha_eq(parse(r"\x.x"), parse(r"\y.y"))
     assert not alpha_eq(parse(r"\x.\y.x"), parse(r"\a.\b.b"))
