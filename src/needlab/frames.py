@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Optional
 
-from .terms import HOLE, App, Frozen, Lam, Name, Term, Var
+from .terms import HOLE, App, Frozen, Lam, Name, Term, Var, rewrite
 
 
 class ArgF(Frozen):
@@ -72,6 +72,41 @@ def plug(frames: Frames, t: Term) -> Term:
             t = App(t, argument)
 
 
+def subst_plug(frames: Frames, x: Name, copy) -> tuple[tuple, Term]:
+    """plug(frames, Var(x)) with copy() for each x, as new frames, outermost
+    first, and the copy in the hole; no binder in the frames is x.  Copies
+    come in subst_normal's order: BodF operators outermost first, the hole,
+    then pending arguments innermost first.  BodFs wait on a work list, not
+    the call stack, and keep the frames inside them that did not change."""
+
+    def rebuilt(fs, fresh):  # fs innermost first, as its arguments are substituted
+        out = []
+        for f in fs:
+            if f.__class__ is ArgF:
+                t = rewrite(f.term, var=lambda node, env: copy() if node.name == x else node)
+                f = ArgF(t) if fresh or t is not f.term else f
+            elif f.__class__ is LamF and fresh:
+                f = LamF(f.binder)
+            out.append(f)
+        return tuple(out)
+
+    work = [(None, list(frames), len(frames))]  # (BodF, its inner, frames left to enter)
+    while True:
+        bod, fs, i = work.pop()
+        while i and fs[i - 1].__class__ is not BodF:
+            i -= 1
+        if i:  # the next BodF inward, rebuilt in its place before the hole
+            work += (bod, fs, i - 1), (fs[i - 1], list(fs[i - 1].inner), len(fs[i - 1].inner))
+        elif bod is None:
+            hole = copy()
+            return rebuilt(fs, True)[::-1], hole
+        else:  # frames compare by identity; a BodF of frames itself is made anew
+            inner, between = rebuilt(fs, False), rebuilt(bod.between, False)
+            if work[-1][0] is None or inner != bod.inner or between != bod.between:
+                bod = BodF(bod.binder, inner, between)
+            work[-1][1][work[-1][2]] = bod
+
+
 def inject(t: Term) -> tuple[list, Term]:
     """A stack driver's initial state: an empty frame stack and the term."""
     return [], t
@@ -109,10 +144,6 @@ def balance(frames: Frames) -> int:
         else:
             break
     return args - lams
-
-
-def _pure(frames: Frames) -> bool:
-    return all(not isinstance(f, BodF) for f in frames)
 
 
 def scan_demand(frames: Frames):
@@ -174,14 +205,10 @@ def is_answer_frames(frames: Frames) -> bool:
 
 def is_inner_partial_frames(frames: Frames) -> bool:
     """Membership in the inner partial-answer-context grammar."""
-    if not _pure(frames):
-        return False
-    if not frames:
-        return True
-    if not isinstance(frames[0], LamF):
-        return False
     bal = 0
     for f in frames:
+        if isinstance(f, BodF):
+            return False
         bal += 1 if isinstance(f, LamF) else -1
         if bal < 1:
             return False

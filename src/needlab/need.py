@@ -15,12 +15,12 @@ grammars.  The contexts the search builds are in the grammars by
 construction, so it re-checks none of them; the exhaustive grammar
 enumerator in needlab.oracle serves as its independent check.
 
-The axiom leaves the redex's outer context untouched, so the standard
-reduction refocuses (Danvy and Nielsen), as af's does: ``drive`` cuts its
-stack back to the outer context after each step and resumes the search
-from the contractum.  Its (stack, term) states are plugged only for the
-answer and printed from the stack; step_sr is the one-shot step from the
-root.
+The axiom keeps the redex's outer context and its demand context around
+the value, so the standard reduction refocuses (Danvy and Nielsen; Danvy
+and Zerny): ``drive`` substitutes into the demand frames themselves and
+resumes the search at the copy in the demanded hole.  Its (stack, term)
+states are plugged only for the answer and printed from the stack;
+step_sr is the one-shot step from the root.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .frames import (
     plug,
     split_inner_partial,
     split_outer_partial,
+    subst_plug,
 )
 from .results import LabeledTermError, evaluate, normalized
 from .terms import (
@@ -48,6 +49,7 @@ from .terms import (
     NameSupply,
     Term,
     Var,
+    _copies,
     canon,
     subst_normal,
 )
@@ -147,12 +149,10 @@ def _search(t: Term, stack: Optional[list] = None) -> Optional[NeedDecomposition
             control = control.body
         elif isinstance(control, Lam):
             # value with no pending argument: answer or completed redex
-            bod_at = None
-            for i in range(len(stack) - 1, -1, -1):
-                if isinstance(stack[i], BodF):
-                    bod_at = i
+            for bod_at in range(len(stack) - 1, -1, -1):
+                if isinstance(stack[bod_at], BodF):
                     break
-            if bod_at is None:
+            else:
                 return Answer(AnswerContext(tuple(reversed(stack))), control)
             bod = stack[bod_at]
             demand, inner_partial, open_count = split_inner_partial(bod.inner)
@@ -230,14 +230,18 @@ def drive(state: tuple[list, Term], supply: NameSupply):
     """Standard reduction from (stack, term), a closed hygienic term
     plugged into an outermost-first stack: ("beta-need", state) per step,
     then (None, state), the stack then holding the answer context around
-    the value.  Each step cuts the stack back to the redex's outer context
-    and resumes from the contractum; the stack is the driver's own, so
-    read it before asking for the next step.  Steps preserve closedness,
-    so the search runs without decompose's check."""
+    the value.  Each step keeps the outer and outer partial frames, pushes
+    new ones for the hoisted bindings and, substituted (``subst_plug``),
+    the demand context, and resumes at the value's copy in the hole; the
+    stack is the driver's own, so read it before asking for the next step.
+    Steps preserve closedness, so the search runs without decompose's check."""
     stack, t = state
     while not isinstance(d := _search(t, stack), Answer):
-        del stack[len(d.outer) :]
-        t = _contractum(d, supply)
+        del stack[len(d.outer) + len(d.outer_partial) :]
+        hoisted = reversed(d.arg_context + d.binding)  # answer contexts: no BodF
+        stack += (ArgF(f.term) if f.__class__ is ArgF else LamF(f.binder) for f in hoisted)
+        core, t = subst_plug(d.demand + d.inner_partial, d.binder, _copies(d.value, supply))
+        stack += core
         yield "beta-need", (stack, t)
     yield None, (stack, d.value)
 

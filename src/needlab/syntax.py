@@ -307,11 +307,11 @@ def _operator_text(f: BodF, memo: PrintMemo | None) -> str:
 class StackPrinter:
     """Prints the states of one outermost-first frame stack that each step
     cuts and then grows at its top: need-sr's and af's driver stacks, ck's
-    and ckh's frame tuples reversed.  A step pushes only frames the last
-    state's stack did not hold, so the frames below its lowest cut are the
-    ones that are still the same object at the same depth, and they keep
-    their pieces: a state prints the frames above that depth, found from
-    the top down, the outermost at the top level.  text(frame, level, memo)
+    and ckh's frame tuples reversed.  A step pushes only new frame objects,
+    even where a frame's content is kept, so the frames below its lowest cut
+    are the ones still the same object at the same depth, and they keep
+    their pieces: a state prints the frames above that depth, found from the
+    top down, the outermost at the top level.  text(frame, level, memo)
     gives a frame's (left, right, level of the hole) pieces.
     """
 

@@ -431,12 +431,25 @@ class Scan(NamedTuple):
     labeled: bool
 
 
+class _FreeIn(set):
+    """scan's env entry where a labeled body is entered.  A lookup compares
+    each entry with the name it seeks, innermost first, so a name that gets
+    this far is free in the body: the comparison keeps it, and fails."""
+
+    def __eq__(self, name):
+        self.add(name)
+        return False
+
+
 def scan(t: Term) -> Scan:
     """The Scan of t, in one explicit-stack walk.  Binders are distinct iff
-    the walk meets as many abstractions as distinct binder names."""
+    the walk meets as many abstractions as distinct binder names.  A Labeled
+    node met again, the same object, is not walked again, so its binders
+    count once; the names free in its body are looked up where it is met."""
     free: set[Name] = set()
     binders: set[Name] = set()
     top, lams, labeled = 0, 0, False
+    bodies: dict = {}  # Labeled node walked -> the names free in its body
     work = [(t, None)]
     push, pop = work.append, work.pop
     while work:
@@ -447,7 +460,7 @@ def scan(t: Term) -> Scan:
             push((node.fn, env))
         elif kind is Var:
             name = node.name
-            while env is not None:  # the binders in scope, innermost first
+            while env is not None:  # the binders and bodies in scope, innermost first
                 if env[0] == name:
                     break
                 env = env[1]
@@ -460,11 +473,14 @@ def scan(t: Term) -> Scan:
             if b.index > top:
                 top = b.index
             push((node.body, (b, env)))
+        elif kind is Labeled and node in bodies:  # its free names, looked up here
+            work.extend((Var(name), env) for name in bodies[node])
         elif kind is Labeled:
             labeled = True
             if node.label.index > top:
                 top = node.label.index
-            push((node.body, env))
+            bodies[node] = _FreeIn()
+            push((node.body, (bodies[node], env)))
         # else the hole of a rendered context
     for name in free:
         if name.index > top:

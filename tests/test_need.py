@@ -1,5 +1,6 @@
 import pytest
-from test_harness import LEQ
+from test_harness import LEQ, _demand_chain
+from test_reference import _load
 
 from needlab import ck, need
 from needlab.frames import ArgF, LamF, context_term, is_answer_frames
@@ -20,6 +21,7 @@ from needlab.need import (
     redex_at_root,
     step_sr,
 )
+from needlab.prelude import expand_prelude
 from needlab.results import Done, Timeout
 from needlab.syntax import parse, print_term
 from needlab.terms import (
@@ -313,13 +315,21 @@ def _iterate_sr(t, fuel):
         seen.append(t)
 
 
+def _bench_programs():
+    """The bench's programs, read from bench/programs.py, prelude expanded."""
+    programs = _load("programs")
+    return [expand_prelude(parse(programs.source(tree))) for _, tree in programs.PROGRAMS]
+
+
 def test_resumed_search_matches_iterated_steps_on_corpus():
-    # eval_sr and run_eval's need-sr trace resume each search at the last
-    # contraction site, and the trace prints from the driver's stack; step_sr
-    # searches from the root every time.  All must reach the same verdict
-    # after the same number of steps, with the same answer, fresh names
-    # included, and the trace must print every term the one-shot steps give.
-    terms = [gen_closed(42 + i, 25) for i in range(300)] + [LEQ]
+    # eval_sr and run_eval's need-sr trace resume each search at the hole of
+    # the last contraction, and the trace prints from the driver's stack;
+    # step_sr searches from the root every time.  All must reach the same
+    # verdict after the same number of steps, with the same answer, fresh
+    # names included, and the trace must print every term the one-shot steps
+    # give.  The demand chain and the bench programs nest demand frames deep.
+    chain = parse(_demand_chain(60))
+    terms = [gen_closed(42 + i, 25) for i in range(300)] + [chain, *_bench_programs(), LEQ]
     for i, t in enumerate(terms):
         seen, timed_out = _iterate_sr(t, 1000)
         steps = len(seen) - 1
@@ -338,15 +348,32 @@ def test_resumed_search_matches_iterated_steps_on_corpus():
 
 
 def test_standard_reduction_plugs_only_the_contraction_site(monkeypatch):
-    # the driver cuts its stack back to each redex's outer context and plugs
-    # only the contractum; plugging the whole reduct again at every step
-    # passed 1,138 frames over LEQ's 61 steps
+    # the driver substitutes into the redex's frames and resumes at the hole,
+    # so it plugs nothing; plugging the whole reduct again at every step
+    # passed 1,138 frames over LEQ's 61 steps, and plugging the contractum 351
     passed = []
     real = need.plug
     monkeypatch.setattr(need, "plug", lambda fs, t: passed.append(len(fs)) or real(fs, t))
     r = eval_sr(LEQ, 1000)
     assert isinstance(r, Done) and r.steps == 61
-    assert sum(passed) == 351
+    assert sum(passed) == 0
+
+
+def test_demand_chain_looks_up_each_binder_once(monkeypatch):
+    # every redex of the chain binds its outermost binder under the whole
+    # nest of demands; searching the contractum again redid every lookup,
+    # 80,601 binder_at calls over the 401 steps at n = 400
+    calls = [0]
+    real = need.binder_at
+
+    def counted(stack, name):
+        calls[0] += 1
+        return real(stack, name)
+
+    monkeypatch.setattr(need, "binder_at", counted)
+    r = eval_sr(parse(_demand_chain(400)), 1000)
+    assert isinstance(r, Done) and r.steps == 401
+    assert calls[0] <= 401
 
 
 def test_contract_on_a_term_that_is_not_normalized():

@@ -2,12 +2,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needlab.frames import context_term, is_answer_frames
+from needlab.frames import context_term, is_answer_frames, plug, subst_plug
 from needlab.gen import enumerate_closed, gen_closed
 from needlab.harness import answer_value
 from needlab.need import (
     Answer,
     Redex,
+    _search,
     compatible_reducts,
     decompose,
     eval_sr,
@@ -20,6 +21,8 @@ from needlab.results import Done
 from needlab.syntax import parse, print_term
 from needlab.terms import (
     NameSupply,
+    Var,
+    _copies,
     alpha_eq,
     canon,
     free_vars,
@@ -94,6 +97,30 @@ def test_subst_normal_agrees_with_subst_on_normalized_input(seed, pick):
     want = subst(lam.body, lam.binder, s, general)
     got = subst_normal(lam.body, lam.binder, s, normal)
     assert term_eq(got, want) and normal._next == general._next
+
+
+@given(seeds, sizes)
+@settings(max_examples=100, deadline=None)
+def test_subst_plug_copies_as_subst_normal_does(seed, size):
+    # at each redex of a standard reduction, substituting into the demand
+    # frames and plugging them around the hole's copy gives subst_normal of
+    # the plugged body, fresh names included, and mints as many names; the
+    # frames returned are new objects
+    t = hygienize(gen_closed(seed, size))
+    supply = NameSupply.for_term(t)
+    for _ in range(60):
+        d = _search(t)
+        if isinstance(d, Answer):
+            return
+        frames = d.demand + d.inner_partial
+        body = plug(frames, Var(d.binder))
+        plugged, normal = NameSupply(supply._next), NameSupply(supply._next)
+        new, hole = subst_plug(frames, d.binder, _copies(d.value, plugged))
+        want = subst_normal(body, d.binder, d.value, normal)
+        assert term_eq(plug(tuple(reversed(new)), hole), want), print_term(t)
+        assert plugged._next == normal._next
+        assert not {id(f) for f in new} & {id(f) for f in frames}
+        t = step_sr(t, supply)
 
 
 @given(seeds)

@@ -527,6 +527,64 @@ def test_scan_hand_cases(t, free, top, hygienic, labeled):
     _check_scan(t)
 
 
+def _shared_nest(k):
+    """l_k:(\\a_k.n n) where n is the level below, down to l_0:(\\z.z): one
+    node per level, shared by identity, 2^k copies unfolded."""
+    t = Labeled(Name("l"), Lam(Name("z"), Var(Name("z"))))
+    for i in range(1, k + 1):
+        t = Labeled(Name("l", i), Lam(Name("a", i), App(t, t)))
+    return t
+
+
+def test_scan_walks_a_shared_labeled_node_once():
+    # each body is walked once and its binders counted once; a tree with the
+    # same text has each binder 2^k times
+    began = time.perf_counter()
+    assert scan(_shared_nest(40)) == (set(), 40, True, True)
+    assert time.perf_counter() - began < 2.0
+    tree = parse(print_term(_shared_nest(4)))
+    assert scan(tree) == (set(), 4, False, True)
+    _check_scan(tree)
+
+
+def test_scan_reads_a_shared_body_free_under_each_binder():
+    # a body met again under other binders is not walked again; the names
+    # free in it are looked up where it is met
+    x, y = Name("x"), Name("y")
+    s = Labeled(Name("l"), App(Var(x), Var(y)))
+    cases = [
+        App(Lam(y, s), s),
+        App(s, Lam(y, s)),
+        Lam(x, App(s, Lam(y, s))),
+        Lam(y, App(Lam(x, s), s)),
+        Lam(x, Lam(y, App(s, Labeled(Name("m"), App(Lam(x, s), s))))),
+    ]
+    for t in cases:
+        assert scan(t).free == free_vars(t), print_term(t)
+
+    def nest(k):  # each copy of the level below under \x or \y
+        t = s
+        for i in range(1, k + 1):
+            t = Labeled(Name("l", i), App(Lam(x, t), Lam(y, t)))
+        return t
+
+    assert scan(nest(6)).free == free_vars(nest(6)) == {x, y}
+    assert scan(Lam(x, nest(40))).free == {y}
+
+
+def test_run_starts_on_a_shared_labeled_state():
+    # state 30 of this lstep run has 66 distinct nodes; a scan that walked
+    # every copy of its shared bodies did not finish in 20 s, so neither did
+    # a run started from it
+    state, supply = start(hygienize(gen_closed(999684, 14)), 30, labels=True)
+    for _, state in islice(lstep.drive(state, supply), 30):
+        pass
+    began = time.perf_counter()
+    assert scan(state) == (set(), supply.fork().fresh().index - 1, True, True)
+    assert lstep.eval_lstep(state, 5).steps == 5
+    assert time.perf_counter() - began < 2.0
+
+
 def test_normalize_gives_an_alpha_equal_hygienic_term():
     # the collapsed copies shadow and capture, so a binder's renaming must
     # end where its scope does
