@@ -310,17 +310,10 @@ def _lstep_one_step(m: Term, seed: NameSupply) -> Optional[Term]:
     return None if r is None else strip_value_labels(r)
 
 
-def _need_one_step(m: Term, seed: NameSupply) -> Optional[Term]:
-    """need-sr's step of a CK image, which the run keeps normalized as a
-    whole: the search and the contraction, without normalize's walk."""
-    d = need._search(m)
-    return None if isinstance(d, need.Answer) else need.contract(d, seed)
-
-
 SIM_TABLE = {
     "ckh-lstep": SimPair("ckh", frozenset({"descend-lam"}), _ckh_lstep_images, _lstep_one_step),
     "ck-need": SimPair(
-        "ck", frozenset({"beta-need-ck"}), lambda: lambda s, seed: ck.build(s), _need_one_step
+        "ck", frozenset({"beta-need-ck"}), lambda: lambda s, seed: ck.build(s), need._step
     ),
     "ck-lstep": SimPair(
         "ck",

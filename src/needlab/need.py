@@ -17,10 +17,10 @@ enumerator in needlab.oracle serves as its independent check.
 
 The axiom keeps the redex's outer context and its demand context around
 the value, so the standard reduction refocuses (Danvy and Nielsen; Danvy
-and Zerny): ``drive`` substitutes into the demand frames themselves and
-resumes the search at the copy in the demanded hole.  Its (stack, term)
-states are plugged only for the answer and printed from the stack;
-step_sr is the one-shot step from the root.
+and Zerny).  The one contraction, ``_reduce``, substitutes into the demand
+frames on the stack a search left, where ``drive`` resumes at the copy in
+the demanded hole; its states are plugged only for the answer and printed
+from the stack.  The one-shot steps and the audits plug the stack instead.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ from .terms import (
     Var,
     _copies,
     canon,
-    subst_normal,
 )
 
 
@@ -199,49 +198,55 @@ def decompose(t: Term) -> NeedDecomposition:
     return _search(normalized(t, "decompose")[0])
 
 
-def _contractum(r: Redex, supply: NameSupply) -> Term:
-    """The axiom's right-hand side: substitute the value for the binder,
-    drop the call, and hoist the argument's bindings."""
-    body = plug(r.demand + r.inner_partial, Var(r.binder))
-    core = subst_normal(body, r.binder, r.value, supply)
-    return plug(r.arg_context + r.binding + r.outer_partial, core)
+def _reduce(d: Redex, stack: list, supply: NameSupply) -> Term:
+    """Contract d, the redex a search of the outermost-first stack found,
+    in place: keep its outer and outer partial frames, push new ones for
+    the hoisted bindings and, substituted (``subst_plug``), the demand
+    context, and return the value's copy in the hole."""
+    del stack[len(d.outer) + len(d.outer_partial) :]
+    hoisted = reversed(d.arg_context + d.binding)  # answer contexts: no BodF
+    stack += (ArgF(f.term) if f.__class__ is ArgF else LamF(f.binder) for f in hoisted)
+    core, hole = subst_plug(d.demand + d.inner_partial, d.binder, _copies(d.value, supply))
+    stack += core
+    return hole
+
+
+def _step(t: Term, supply: NameSupply) -> Optional[Term]:
+    """step_sr on a normalized term, as a CK image is (ck-need's target
+    step): search, contract in place, plug; None at an answer."""
+    stack: list = []
+    d = _search(t, stack)
+    return None if isinstance(d, Answer) else build((stack, _reduce(d, stack, supply)))
 
 
 def contract(r: Redex, supply: Optional[NameSupply] = None) -> Term:
-    """The whole reduct: the contractum plugged into the outer context.  r
-    is a redex of a normalized term, as decompose gives, so the hoist
-    captures nothing; without a supply, names are minted above the term's."""
+    """The whole reduct, contracted as the drive does (``_reduce``) on the
+    outer contexts laid out as a stack.  r is a redex of a normalized term,
+    as decompose gives, so the hoist captures nothing; without a supply,
+    names are minted above the term's."""
     if supply is None:
         supply = NameSupply.for_term(r.whole_term())
-    return plug(r.outer, _contractum(r, supply))
+    stack = list(reversed(r.outer_partial + r.outer))
+    return build((stack, _reduce(r, stack, supply)))
 
 
 def step_sr(t: Term, supply: Optional[NameSupply] = None) -> Optional[Term]:
     """One standard-reduction step; absent iff t is an answer.  Without a
     supply, fresh names are minted above every name of t."""
-    t, supply = normalized(t, "step_sr", supply)
-    d = _search(t)  # decompose would normalize again
-    if isinstance(d, Answer):
-        return None
-    return contract(d, supply)
+    return _step(*normalized(t, "step_sr", supply))
 
 
 def drive(state: tuple[list, Term], supply: NameSupply):
     """Standard reduction from (stack, term), a closed hygienic term
     plugged into an outermost-first stack: ("beta-need", state) per step,
     then (None, state), the stack then holding the answer context around
-    the value.  Each step keeps the outer and outer partial frames, pushes
-    new ones for the hoisted bindings and, substituted (``subst_plug``),
-    the demand context, and resumes at the value's copy in the hole; the
-    stack is the driver's own, so read it before asking for the next step.
-    Steps preserve closedness, so the search runs without decompose's check."""
+    the value.  Each step contracts in place (``_reduce``) and resumes the
+    search at the value's copy in the hole; the stack is the driver's own,
+    so read it before asking for the next step.  Steps preserve closedness,
+    so the search runs without decompose's check."""
     stack, t = state
     while not isinstance(d := _search(t, stack), Answer):
-        del stack[len(d.outer) + len(d.outer_partial) :]
-        hoisted = reversed(d.arg_context + d.binding)  # answer contexts: no BodF
-        stack += (ArgF(f.term) if f.__class__ is ArgF else LamF(f.binder) for f in hoisted)
-        core, t = subst_plug(d.demand + d.inner_partial, d.binder, _copies(d.value, supply))
-        stack += core
+        t = _reduce(d, stack, supply)
         yield "beta-need", (stack, t)
     yield None, (stack, d.value)
 

@@ -5,7 +5,7 @@ from test_reference import _load
 from needlab import ck, need
 from needlab.frames import ArgF, LamF, context_term, is_answer_frames
 from needlab.gen import enumerate_closed, gen_closed
-from needlab.harness import close_answer_value, run_eval
+from needlab.harness import check_simulation, close_answer_value, run_eval
 from needlab.need import (
     Answer,
     AnswerContext,
@@ -374,6 +374,28 @@ def test_demand_chain_looks_up_each_binder_once(monkeypatch):
     r = eval_sr(parse(_demand_chain(400)), 1000)
     assert isinstance(r, Done) and r.steps == 401
     assert calls[0] <= 401
+
+
+def test_audits_contract_as_the_drive_does(monkeypatch):
+    # the ck-need simulation's target step and compatible_reducts, and so
+    # check-sim and check-cr, certify the contraction eval_sr runs: each
+    # reaches need's subst_plug, which they never called while they plugged
+    # and substituted a contractum of their own
+    calls = [0]
+    real = need.subst_plug
+
+    def counted(frames, x, copy):
+        calls[0] += 1
+        return real(frames, x, copy)
+
+    monkeypatch.setattr(need, "subst_plug", counted)
+    for i in range(20):
+        assert check_simulation(gen_closed(42 + i, 25), "ck-need", 400).ok, i
+    assert calls[0] > 0
+    calls[0] = 0
+    for t in enumerate_closed(7):
+        compatible_reducts(t)
+    assert calls[0] > 0
 
 
 def test_contract_on_a_term_that_is_not_normalized():

@@ -1,8 +1,15 @@
 """Property suites over generated and enumerated corpora."""
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_harness import LEQ, _demand_chain
+from test_need import _bench_programs
 
-from needlab.frames import context_term, is_answer_frames, plug, subst_plug
+from needlab import need
+from needlab.frames import context_term, inject, is_answer_frames, plug, subst_plug
 from needlab.gen import enumerate_closed, gen_closed
 from needlab.harness import answer_value
 from needlab.need import (
@@ -17,7 +24,7 @@ from needlab.need import (
     step_sr,
 )
 from needlab.oracle import decomposition_matches, enumerate_decompositions
-from needlab.results import Done
+from needlab.results import Done, start
 from needlab.syntax import parse, print_term
 from needlab.terms import (
     NameSupply,
@@ -99,28 +106,50 @@ def test_subst_normal_agrees_with_subst_on_normalized_input(seed, pick):
     assert term_eq(got, want) and normal._next == general._next
 
 
+def _check_subst_plug(d: Redex, supply: NameSupply, where) -> None:
+    """Substituting into d's demand frames and plugging them around the
+    hole's copy gives subst_normal of the plugged body, fresh names
+    included, and mints as many names from supply's counter, which neither
+    side advances; the frames returned are new objects."""
+    frames = d.demand + d.inner_partial
+    body = plug(frames, Var(d.binder))
+    plugged, normal = NameSupply(supply._next), NameSupply(supply._next)
+    new, hole = subst_plug(frames, d.binder, _copies(d.value, plugged))
+    want = subst_normal(body, d.binder, d.value, normal)
+    assert term_eq(plug(tuple(reversed(new)), hole), want), where
+    assert plugged._next == normal._next, where
+    assert not {id(f) for f in new} & {id(f) for f in frames}, where
+
+
 @given(seeds, sizes)
 @settings(max_examples=100, deadline=None)
 def test_subst_plug_copies_as_subst_normal_does(seed, size):
-    # at each redex of a standard reduction, substituting into the demand
-    # frames and plugging them around the hole's copy gives subst_normal of
-    # the plugged body, fresh names included, and mints as many names; the
-    # frames returned are new objects
+    # at each redex of a standard reduction stepped from the root
     t = hygienize(gen_closed(seed, size))
     supply = NameSupply.for_term(t)
     for _ in range(60):
         d = _search(t)
         if isinstance(d, Answer):
             return
-        frames = d.demand + d.inner_partial
-        body = plug(frames, Var(d.binder))
-        plugged, normal = NameSupply(supply._next), NameSupply(supply._next)
-        new, hole = subst_plug(frames, d.binder, _copies(d.value, plugged))
-        want = subst_normal(body, d.binder, d.value, normal)
-        assert term_eq(plug(tuple(reversed(new)), hole), want), print_term(t)
-        assert plugged._next == normal._next
-        assert not {id(f) for f in new} & {id(f) for f in frames}
+        _check_subst_plug(d, supply, (seed, size))
         t = step_sr(t, supply)
+
+
+def test_subst_plug_copies_as_subst_normal_does_on_the_corpus():
+    # at every redex of need-sr's drive, as eval_sr runs it (fuel 1000), on
+    # the corpus, the demand chain, the bench programs and LEQ.  Every
+    # need-sr contraction runs subst_plug, so only subst_normal, which no
+    # need-sr step runs, checks the order of its copies here
+    terms = [gen_closed(42 + i, 25) for i in range(300)]
+    terms += [parse(_demand_chain(60)), *_bench_programs(), LEQ]
+    for i, t in enumerate(terms):
+        (stack, t), supply = start(t, 1000, inject)
+        for _ in range(1000):
+            d = _search(t, stack)
+            if isinstance(d, Answer):
+                break
+            _check_subst_plug(d, supply, i)
+            t = need._reduce(d, stack, supply)
 
 
 @given(seeds)
@@ -259,3 +288,38 @@ def test_evaluators_agree(seed):
         # has to agree on the verdict
         values = {canon(answer_value(m, r)) for m, r in dones.items() if m != "name"}
         assert len(values) == 1
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@given(st.integers())
+@settings(database=None, derandomize=True)
+def test_fails(n):
+    assert n < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_under_the_repo_config(tmp_path):
+    # reporting a falsifying example imports libcst, whose deprecated
+    # mypy_extensions.TypedDict the config's error::DeprecationWarning turned
+    # into an INTERNALERROR: the session ended before the next test ran
+    (tmp_path / "test_failing_property.py").write_text(FAILING_PROPERTY)
+    config = ["-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT), "-p", "no:cacheprovider"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", *config, "test_failing_property.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
