@@ -213,10 +213,9 @@ def _reduce(d: Redex, stack: list, supply: NameSupply) -> Term:
 
 def _step(t: Term, supply: NameSupply) -> Optional[Term]:
     """step_sr on a normalized term, as a CK image is (ck-need's target
-    step): search, contract in place, plug; None at an answer."""
-    stack: list = []
-    d = _search(t, stack)
-    return None if isinstance(d, Answer) else build((stack, _reduce(d, stack, supply)))
+    step): search, then ``contract``; None at an answer."""
+    d = _search(t)
+    return None if isinstance(d, Answer) else contract(d, supply)
 
 
 def contract(r: Redex, supply: Optional[NameSupply] = None) -> Term:

@@ -722,12 +722,15 @@ def test_check_simulation_walks_only_what_its_checks_read(monkeypatch, walks):
 def _stale_seeds(monkeypatch, corpus) -> dict:
     """Per pair, over check_simulation runs on the corpus at fuel 1000:
     [its step transitions, those whose target step minted from a supply
-    that does not start above every name of the image it stepped]."""
-    counts = {}
+    that does not start above every name of the image it stepped].  Every
+    step transition must reach the patched step_lstep or contract, so the
+    count cannot stay 0 by missing them."""
+    counts, minted = {}, {}
     current = []  # the pair, and the image the step transition steps
 
     def seeded(supply):
         pair, m = current
+        minted[pair] += 1
         if supply.fork().fresh().index <= scan(m).top:
             counts[pair][1] += 1
 
@@ -745,7 +748,7 @@ def _stale_seeds(monkeypatch, corpus) -> dict:
     monkeypatch.setattr(need, "contract", contract_seeded)
     for pair in SIM_PAIRS:
         row = SIM_TABLE[pair]
-        counts[pair] = [0, 0]
+        counts[pair], minted[pair] = [0, 0], 0
 
         def one_step(m, supply, _row=row, _pair=pair):
             counts[_pair][0] += 1
@@ -755,6 +758,7 @@ def _stale_seeds(monkeypatch, corpus) -> dict:
         monkeypatch.setitem(SIM_TABLE, pair, SimPair(row.source, row.step_rules, row.images, one_step))
         for t in corpus:
             assert check_simulation(t, pair, 1000).ok, pair
+    assert all(minted[pair] == steps for pair, (steps, _) in counts.items()), (minted, counts)
     return counts
 
 
