@@ -16,7 +16,11 @@ Lift and assoc, plain or modified, are one move (``_reassociate``): a
 boundary frame, a pending argument for lift and a demanding call for
 assoc, goes in among an answer's layers, one layer in the plain calculus
 and all the way to the value in the modified one.  An assoc' contractum
-therefore always contains an immediate beta-need' redex.
+therefore always contains an immediate beta-need' redex.  In the modified
+calculus a demanded argument that is not a value goes on the stack under
+its call, and ``_resolve_value`` builds every lift' and assoc' this way.
+At a demand the plain calculus contracts deref and, on an answer argument
+(``is_af_answer``), assoc; the modified one only beta-need'.
 
 The redex search reuses the shared frame machinery: a BodF frame with an
 empty between-context plays the demand frame (lam x. E[x]) [] while the
@@ -60,25 +64,9 @@ DEREF, LIFT, ASSOC = "deref", "lift", "assoc"
 BETA_NEED_MOD, LIFT_MOD, ASSOC_MOD = "beta-need'", "lift'", "assoc'"
 
 
-def af_answer_split(t: Term) -> Optional[tuple[Frames, Term]]:
-    """Split t as nested (lam x. a) e layers around a value, if possible.
-
-    The frames are innermost first, as plug reads them: plugging the
-    value into them rebuilds t.
-    """
-    frames: list = []
-    while isinstance(t, App) and isinstance(t.fn, Lam):
-        frames.append(ArgF(t.arg))
-        frames.append(LamF(t.fn.binder))
-        t = t.fn.body
-    if isinstance(t, Lam):
-        frames.reverse()
-        return tuple(frames), t
-    return None
-
-
 def is_af_answer(t: Term) -> bool:
-    """Whether af_answer_split(t) succeeds, by a walk that builds nothing."""
+    """Whether t is nested (lam x. a) e layers around a value, by a walk
+    that builds nothing."""
     while t.__class__ is App and t.fn.__class__ is Lam:
         t = t.fn.body
     return t.__class__ is Lam
@@ -97,9 +85,10 @@ def _step(
     contraction site, so that plugging the contractum into it gives the
     whole reduct.  A deref rewrites only the demanded occurrence: the stack
     holds the path to it, with the call kept, and the contractum is the
-    fresh copy of the value.  On an answer the rule is None, and the stack
-    holds the answer context around the returned value.  where is the
-    drive's map for ``_binder_at``.
+    fresh copy of the value.  af-mod's assoc', like its lift', is built
+    only by ``_reassociate`` from ``_resolve_value``.  On an answer the rule
+    is None, and the stack holds the answer context around the returned
+    value.  where is the drive's map for ``_binder_at``.
     """
     while True:
         if isinstance(control, App):
@@ -127,11 +116,8 @@ def _step(
                 body = plug(inner, Var(name))
                 return BETA_NEED_MOD, subst_normal(body, name, arg, supply)
             call = BodF(name, inner, ())
-            if modified:
-                split = af_answer_split(arg)
-                if split is not None:
-                    return _reassociate(call, *split, True)
-            elif is_af_answer(arg):  # only the outer layer (lam y. a) e moves; a is reused
+            if not modified and is_af_answer(arg):
+                # assoc: only the outer layer (lam y. a) e moves; a is reused
                 return _reassociate(call, (LamF(arg.fn.binder), ArgF(arg.arg)), arg.fn.body, False)
             stack.append(call)
             control = arg

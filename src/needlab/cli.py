@@ -81,7 +81,7 @@ def _cmd_decompose(args) -> int:
     d = need.decompose(_load_term(args))
     if isinstance(d, need.Answer):
         print("answer")
-        print(f"  context: {print_term(d.context.to_term())}")
+        print(f"  context: {print_term(context_term(d.context))}")
         print(f"  value:   {print_term(d.value)}")
         return 0
     print("redex")

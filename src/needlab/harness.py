@@ -63,7 +63,7 @@ def close_answer_value(answer: Term) -> Term:
         raise ValueError(f"not an answer: {print_term(answer)}")
     ctx, value = split
     supply = NameSupply.for_term(answer)
-    for _, p in reversed(need.partitions(ctx)):  # innermost binder first
+    for p in reversed(need.partitions(ctx)):  # innermost binder first
         value = subst(value, p.binder, p.argument, supply)
     return value
 

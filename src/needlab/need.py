@@ -29,10 +29,10 @@ from typing import Iterator, Optional, Sequence, Union
 from .frames import (
     ArgF,
     BodF,
+    Frames,
     LamF,
     binder_at,
     build,
-    context_term,
     inject,
     is_answer_frames,
     plug,
@@ -54,17 +54,8 @@ from .terms import (
 )
 
 
-class AnswerContext(Frozen, frames=()):
-    """Nesting of binder/argument layers; plugging a value yields an answer."""
-
-    __slots__ = ("frames",)
-
-    def to_term(self) -> Term:
-        return context_term(self.frames)
-
-
 class Answer(Frozen):
-    __slots__ = ("context", "value")
+    __slots__ = ("context", "value")  # context: answer frames, innermost first
 
 
 class Redex(Frozen):
@@ -86,18 +77,15 @@ class Redex(Frozen):
         "value",
     )
 
-    def redex_term(self) -> Term:
-        call = BodF(self.binder, self.demand + self.inner_partial, self.binding)
-        return plug(self.arg_context + (call,) + self.outer_partial, self.value)
-
     def whole_term(self) -> Term:
-        return plug(self.outer, self.redex_term())
+        call = BodF(self.binder, self.demand + self.inner_partial, self.binding)
+        return plug(self.arg_context + (call,) + self.outer_partial + self.outer, self.value)
 
 
 NeedDecomposition = Union[Answer, Redex]
 
 
-def is_answer(t: Term) -> Optional[tuple[AnswerContext, Term]]:
+def is_answer(t: Term) -> Optional[tuple[Frames, Term]]:
     """The unique answer split of t, if t matches the answer grammar.
 
     The walk goes down operators and, while an argument is pending, into
@@ -114,7 +102,7 @@ def is_answer(t: Term) -> Optional[tuple[AnswerContext, Term]]:
             pending -= 1
             t = t.body
         elif isinstance(t, Lam):
-            return AnswerContext(tuple(reversed(stack))), t
+            return tuple(reversed(stack)), t
         else:
             return None
 
@@ -152,7 +140,7 @@ def _search(t: Term, stack: Optional[list] = None) -> Optional[NeedDecomposition
                 if isinstance(stack[bod_at], BodF):
                     break
             else:
-                return Answer(AnswerContext(tuple(reversed(stack))), control)
+                return Answer(tuple(reversed(stack)), control)
             bod = stack[bod_at]
             demand, inner_partial, open_count = split_inner_partial(bod.inner)
             outer_partial, outer = split_outer_partial(
@@ -256,27 +244,22 @@ def eval_sr(t: Term, fuel: int):
 
 
 class Partition(Frozen):
-    """An answer context split around one binder/argument pair."""
+    """An answer context (frames, innermost first) split around one binder/argument pair."""
 
     __slots__ = ("outer", "mid", "inner", "binder", "argument")
 
-    def recompose(self) -> AnswerContext:
-        frames = (
+    def recompose(self) -> Frames:
+        return (
             self.inner
             + (LamF(self.binder),)
-            + self.mid.frames
+            + self.mid
             + (ArgF(self.argument),)
             + self.outer
         )
-        return AnswerContext(frames)
-
-    def composite_is_answer(self) -> bool:
-        return is_answer_frames(self.inner + self.outer)
 
 
-def partitions(a: AnswerContext) -> list[tuple[int, Partition]]:
-    """One Partition per binder/argument layer, outermost binder first."""
-    frames = a.frames
+def partitions(frames: Frames) -> list[Partition]:
+    """One Partition per binder/argument layer of answer frames, outermost binder first."""
     if not is_answer_frames(frames):
         raise ValueError("partitions requires an answer context")
     pairs: list[tuple[int, int]] = []
@@ -287,21 +270,16 @@ def partitions(a: AnswerContext) -> list[tuple[int, Partition]]:
         elif isinstance(f, ArgF):
             pairs.append((opens.pop(), i))
     pairs.sort(key=lambda p: -p[0])
-    out = []
-    for idx, (lam_at, arg_at) in enumerate(pairs):
-        out.append(
-            (
-                idx,
-                Partition(
-                    outer=frames[arg_at + 1 :],
-                    mid=AnswerContext(frames[lam_at + 1 : arg_at]),
-                    inner=frames[:lam_at],
-                    binder=frames[lam_at].binder,
-                    argument=frames[arg_at].term,
-                ),
-            )
+    return [
+        Partition(
+            outer=frames[arg_at + 1 :],
+            mid=frames[lam_at + 1 : arg_at],
+            inner=frames[:lam_at],
+            binder=frames[lam_at].binder,
+            argument=frames[arg_at].term,
         )
-    return out
+        for lam_at, arg_at in pairs
+    ]
 
 
 def _positions(t: Term) -> Iterator[tuple[list, Term]]:

@@ -154,7 +154,7 @@ def decomposition_matches(d: NeedDecomposition, answers: dict, redexes: dict) ->
     binder by name); d is never keyed."""
     if isinstance(d, Answer):
         return any(
-            alpha_eq(context_term(d.context.frames), context_term(frames))
+            alpha_eq(context_term(d.context), context_term(frames))
             and alpha_eq(d.value, value)
             for frames, value in answers.values()
         )

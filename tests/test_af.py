@@ -6,7 +6,6 @@ from needlab.af import (
     DEREF,
     LIFT,
     LIFT_MOD,
-    af_answer_split,
     eval_af,
     eval_afmod,
     eval_name,
@@ -15,7 +14,6 @@ from needlab.af import (
     step_afmod,
     step_name,
 )
-from needlab.frames import plug
 from needlab.gen import gen_closed
 from needlab.harness import close_answer_value, run_eval
 from needlab.need import eval_sr
@@ -36,10 +34,6 @@ def test_af_answers():
     assert is_af_answer(parse(r"\x.x"))
     assert is_af_answer(parse(r"(\x.\v.v) (\y.y)"))
     assert not is_af_answer(parse(r"((\x.x) (\y.y)) (\z.z)"))
-    t = parse(r"(\x.(\y.\v.v) (\b.b)) (\a.a)")
-    frames, v = af_answer_split(t)
-    assert alpha_eq(v, parse(r"\v.v"))
-    assert term_eq(plug(frames, v), t)  # innermost first, as plug reads them
 
 
 def test_af_reassociation_display():
@@ -142,6 +136,10 @@ def test_step_name_substitutes_unevaluated():
     t = hygienize(parse(r"(\x.x x) ((\a.a) (\b.b))"))
     n = step_name(t)
     assert alpha_eq(n, parse(r"((\a.a) (\b.b)) ((\a.a) (\b.b))"))
+
+
+def test_step_name_is_absent_on_a_value():
+    assert step_name(parse(r"\x.x")) is None
 
 
 def test_step_name_on_a_term_that_is_not_normalized():

@@ -7,6 +7,7 @@ from needlab.ck import (
     CKState,
     DESCEND_LAM,
     LOOKUPVAR,
+    IllFormedState,
     PUSHARG,
     build,
     build_step_term,
@@ -403,3 +404,38 @@ def test_frame_walks_take_no_recursion_on_nested_demand_frames(monkeypatch):
             want = _subst_frames_recursive(frames, z, v, None, _logging_substitute(ref_calls))
             assert calls == ref_calls
             assert term_eq(plug(got, hole), plug(want, hole))
+
+
+_x, _y, _w, _q, _z = (Name(c) for c in "xywqz")
+_ID = Lam(Name("i"), Var(Name("i")))
+
+
+@pytest.mark.parametrize(
+    "control, frames, message",
+    [
+        (_ID, (LamF(_y),), "value control with a non-answer context"),
+        (_ID, (LamF(_y), BodF(_x, (), ())), "argument context is not an answer context"),
+        (Var(_x), (), "demanded variable x is unbound"),
+        (Var(_x), (LamF(_x),), "binder x has no matching argument"),
+        (
+            Var(_x),
+            (LamF(_w), BodF(_z, (), ()), LamF(_x), ArgF(_ID)),
+            "body context fails the demand grammar",
+        ),
+        (
+            Var(_x),
+            (LamF(_w), LamF(_x), ArgF(_ID)),
+            "outer context fails the partial-answer split",
+        ),
+        (Var(_x), (LamF(_x), ArgF(_ID), LamF(_q)), "outer context is not an evaluation context"),
+        (Labeled(_x, _ID), (), "control is Labeled"),
+    ],
+)
+def test_step_ck_names_what_is_wrong_with_an_ill_formed_state(control, frames, message):
+    # no state reached from inject_ck is ill-formed; a hand-built one is
+    # rejected with the check that fails (the binder/argument check cannot
+    # fire: matching_argument pairs a binder only across a balanced,
+    # BodF-free run of frames)
+    with pytest.raises(IllFormedState) as raised:
+        step_ck(CKState(control, frames), NameSupply(1))
+    assert str(raised.value) == message

@@ -9,6 +9,7 @@ from needlab.ckh import (
     UPDATEHEAP,
     CKHState,
     ImageCache,
+    UnboundVariable,
     UnresolvableVariable,
     VarF,
     buildL,
@@ -325,3 +326,16 @@ def test_image_cache_stays_bounded_on_a_long_run():
         tables = (reuse.labels, reuse.bindings, reuse.memo, *reuse.users.values())
         peak = max(peak, sum(map(len, tables)))
     assert len(state.heap) == 667 and peak <= 32
+
+
+@pytest.mark.parametrize(
+    "control, message",
+    [
+        (Var(Name("z")), "z is not in the heap"),
+        (Labeled(Name("z"), parse(r"\i.i")), "control is Labeled"),
+    ],
+)
+def test_step_ckh_names_what_is_wrong_with_an_ill_formed_state(control, message):
+    with pytest.raises(UnboundVariable) as raised:
+        step_ckh(CKHState(control, (), {}), NameSupply(1))
+    assert str(raised.value) == message

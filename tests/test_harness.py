@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import needlab
+from test_reference import _load
 from needlab import af, ck, ckh, harness, lstep, need, oracle, results, terms
 from needlab.cli import main as cli_main
 from needlab.frames import build as build_stack
@@ -566,6 +567,62 @@ def test_run_eval_traces_are_byte_identical_to_golden(machine):
     terms = [gen_closed(42 + i, 25) for i in range(80)] + [LEQ]
     text = "\n".join(to_json_str(run_eval(t, machine, 400).to_json()) for t in terms)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TRACES[machine]
+
+
+# sha256 of the run_eval JSON lines of each machine on the six bench
+# programs, prelude expanded, at fuel 100,000: they reach af-mod's assoc'
+# on an answer argument 49 times, against 9 times in GOLDEN_TRACES' terms
+GOLDEN_PROGRAMS = {
+    "need-sr": "da9a77627ae276c0b8824e2058750530a0d1dfd5a5b603eb4f97c001f8efdb39",
+    "af": "6001603073d1d8ff9b03e90535acf7d6f8870e12d8cae6643db14006f38c1b61",
+    "af-mod": "4dc31346bcd9787c2c02d6aa91f5090a2ae4648702cae0348e7ae71d3eccba4d",
+    "name": "df0b61a19711cca664cadd0360c829cf29056387171b0595941fcafa8ed8f6ec",
+    "ck": "67d2951281986d53d02e6b4c95969d630dc41d1a69699979e937bf9e19e33029",
+    "ckh": "360a99def409ae8643dca360e6f1a23a32184773a2163ea1586e56a673a2bbec",
+    "lstep": "cd59cb7c5a3a2e4e19111dac3014833db88d415083ae8a9100032c46422d05a7",
+}
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_run_eval_on_the_bench_programs_is_byte_identical_to_golden(machine):
+    programs = _load("programs")
+    terms = [expand_prelude(parse(programs.source(tree))) for _, tree in programs.PROGRAMS]
+    text = "\n".join(to_json_str(run_eval(t, machine, 100_000).to_json()) for t in terms)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PROGRAMS[machine]
+
+
+# what `needlab decompose` prints for a redex and for an answer
+DECOMPOSE_TEXT = {
+    "redex": (
+        T1,
+        r"""redex
+  outer eval context: []
+  outer partial:      []
+  binding context:    (\x.(\y.[]) (\y%1.y%1)) (\x%2.x%2)
+  binder:             z
+  inner partial:      []
+  demand context:     [] y x
+  argument context:   []
+  value:              \z%3.z%3
+""",
+    ),
+    "answer": (
+        r"(\x.(\y.\z.x y) (\a.a)) (\b.b)",
+        r"""answer
+  context: (\x.(\y.[]) (\a.a)) (\b.b)
+  value:   \z.x y
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", DECOMPOSE_TEXT)
+def test_cli_decompose_text(tmp_path, capsys, kind):
+    source, text = DECOMPOSE_TEXT[kind]
+    f = tmp_path / "t.lam"
+    f.write_text(source + "\n")
+    assert cli_main(["decompose", str(f)]) == 0
+    assert capsys.readouterr().out == text
 
 
 # sha256 of the check_simulation JSON lines of each pair on the first 80

@@ -1,11 +1,13 @@
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import needlab
 
 SRC = Path(needlab.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _annotations(tree):
@@ -76,3 +78,30 @@ def test_readme_names_resolve_on_the_package():
         except (ImportError, AttributeError):
             missing.append(text)
     assert checked and not missing, missing
+
+
+def _defined(tree):
+    """The top-level functions and classes of a module and the methods of
+    its classes, dunders aside."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else ()
+        for item in (node, *members):
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.name
+
+
+def test_every_name_the_package_defines_is_named_elsewhere():
+    # a function, class or method that no code, test or benchmark names
+    # (as a word) outside its own definition is dead: a refactor that
+    # orphans a helper fails here instead of leaving it in the package
+    words = Counter()
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            words.update(re.findall(r"\w+", path.read_text()))
+    defined = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        defined.update(_defined(ast.parse(path.read_text(), str(path))))
+    assert defined
+    unused = sorted(name for name, count in defined.items() if words[name] <= count)
+    assert not unused, unused

@@ -250,6 +250,11 @@ def test_labeled_redex_contracts_all_copies():
     assert term_eq(erase(t2.fn), erase(t2.arg))
 
 
+def test_step_lstep_is_absent_on_a_value():
+    for value in (r"l:(\x.x)", r"\x.x"):
+        assert step_lstep(parse(value)) is None
+
+
 def test_step_lstep_substitution_stops_at_shadowing_binder():
     # shared copies keep their names, so binders can repeat; an inner
     # binder of the same name shadows the substituted variable

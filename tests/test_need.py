@@ -8,7 +8,6 @@ from needlab.gen import enumerate_closed, gen_closed
 from needlab.harness import check_simulation, close_answer_value, run_eval
 from needlab.need import (
     Answer,
-    AnswerContext,
     Redex,
     _replace_at,
     compatible_reducts,
@@ -54,7 +53,7 @@ def test_is_answer_bare_value():
     split = is_answer(parse(r"\x.x"))
     assert split is not None
     ctx, v = split
-    assert ctx.frames == ()
+    assert ctx == ()
     assert term_eq(v, parse(r"\x.x"))
 
 
@@ -64,7 +63,7 @@ def test_is_answer_separates_from_by_name():
     split = is_answer(K_omega())
     assert split is not None
     ctx, v = split
-    assert term_eq(context_term(ctx.frames), parse(r"(\x.[]) ((\d.d d) (\d.d d))"))
+    assert term_eq(context_term(ctx), parse(r"(\x.[]) ((\d.d d) (\d.d d))"))
     assert term_eq(v, parse(r"\y.x"))
 
 
@@ -189,36 +188,35 @@ def _a4_frames():
 
 
 def test_partitions_table():
-    a4 = AnswerContext(_a4_frames())
-    assert term_eq(a4.to_term(), parse(r"(\x.(\y.\z.[]) ey) ex ez"))
+    a4 = _a4_frames()
+    assert term_eq(context_term(a4), parse(r"(\x.(\y.\z.[]) ey) ex ez"))
     parts = partitions(a4)
     assert len(parts) == 3
-    by_binder = {p.binder.base: p for _, p in parts}
+    by_binder = {p.binder.base: p for p in parts}
     # column for x
     p = by_binder["x"]
     assert term_eq(context_term(p.outer), parse("[] ez"))
-    assert p.mid.frames == ()
+    assert p.mid == ()
     assert term_eq(context_term(p.inner), parse(r"(\y.\z.[]) ey"))
     # column for y
     p = by_binder["y"]
     assert term_eq(context_term(p.outer), parse(r"(\x.[]) ex ez"))
-    assert p.mid.frames == ()
+    assert p.mid == ()
     assert term_eq(context_term(p.inner), parse(r"\z.[]"))
     # column for z
     p = by_binder["z"]
     assert p.outer == ()
-    assert term_eq(p.mid.to_term(), parse(r"(\x.(\y.[]) ey) ex"))
+    assert term_eq(context_term(p.mid), parse(r"(\x.(\y.[]) ey) ex"))
     assert p.inner == ()
     # ordering follows the binders outermost-first
-    assert [p.binder.base for _, p in parts] == ["x", "y", "z"]
+    assert [p.binder.base for p in parts] == ["x", "y", "z"]
 
 
 def test_partitions_recompose_and_compose():
-    a4 = AnswerContext(_a4_frames())
-    for _, p in partitions(a4):
-        assert term_eq(p.recompose().to_term(), a4.to_term())
+    a4 = _a4_frames()
+    for p in partitions(a4):
+        assert term_eq(context_term(p.recompose()), context_term(a4))
         assert is_answer_frames(p.inner + p.outer)
-        assert p.composite_is_answer()
 
 
 def test_compatible_reducts():
@@ -295,6 +293,15 @@ def test_joinable():
     assert len(rs) == 2
     assert joinable(rs[0], rs[1], 4)
     assert not joinable(parse(r"\x.x"), parse(r"\x.\y.y"), 5)
+    # with no step allowed, only alpha-equal terms join
+    assert not joinable(parse(r"\x.x"), parse(r"\x.\y.y"), 0)
+
+
+def test_partitions_and_closing_reject_what_is_not_an_answer():
+    with pytest.raises(ValueError, match="requires an answer context"):
+        partitions((ArgF(parse(r"\i.i")),))
+    with pytest.raises(ValueError, match="not an answer"):
+        close_answer_value(parse(r"(\x.x) (\y.y)"))
 
 
 def _iterate_sr(t, fuel):
@@ -447,8 +454,8 @@ def test_search_builds_contexts_in_the_grammars(monkeypatch):
         d = real(t, stack)
         if isinstance(d, Answer):
             seen["answer"] += 1
-            assert is_answer_frames(d.context.frames)
-            assert term_eq(plug(d.context.frames, d.value), searched)
+            assert is_answer_frames(d.context)
+            assert term_eq(plug(d.context, d.value), searched)
         elif d is not None:
             seen["redex"] += 1
             assert is_answer_frames(d.arg_context) and is_answer_frames(d.binding)
